@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test conformance smoke metrics-smoke bench bench-store bench-sharded bench-invalidation example lint lint-rules certify
+.PHONY: test conformance smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -111,13 +111,6 @@ bench-store:
 bench-invalidation:
 	$(PYTHON) benchmarks/bench_store.py --quick --enforce-speedup \
 		--output $${BENCH_INVALIDATION:-/tmp/BENCH_store_invalidation.json}
-
-# Sharded-fleet series at full scale: the scatter-gather coordinator over
-# 1/2/4 live HTTP shard servers (hash-partitioned masters), outputs
-# asserted identical to memory; regenerates the committed BENCH_store.json
-# (the sharded series rides inside the same file).
-bench-sharded:
-	$(PYTHON) benchmarks/bench_store.py
 
 example:
 	$(PYTHON) examples/batch_throughput.py

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """MasterStore backends: memory vs sqlite vs remote, plus invalidation cost.
 
-Seeds ``BENCH_store.json``.  Four questions, per dataset:
+Seeds ``BENCH_store.json``.  Six questions, per dataset:
 
 1. **backend throughput** — the same batch workload through
    :class:`~repro.engine.store.InMemoryStore` (hash indexes in RAM),
@@ -28,14 +28,6 @@ Seeds ``BENCH_store.json``.  Four questions, per dataset:
    backend's warm-cache probe throughput must stay within 5× of sqlite's —
    both are one LRU hit; the floor catches a broken client cache, which
    would otherwise silently turn every probe into an HTTP round-trip.
-
-7. **sharded fleet series** — the same workload through a
-   :class:`~repro.engine.sharded.ShardedStore` coordinator over 1, 2 and
-   4 in-process ``serve-master`` shards (hash-partitioned masters behind
-   real HTTP), outputs asserted identical to memory; reports batch and
-   probe throughput per fleet width plus scatter fan-out accounting —
-   the coordination overhead a fleet pays for masters too large for one
-   server (``make bench-sharded``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_store.py [--quick]
 
@@ -111,82 +103,6 @@ def _make_backends(bundle) -> tuple:
     return backends, cleanup
 
 
-def _make_sharded_fleet(bundle, master_rows, n: int) -> tuple:
-    """(coordinator, cleanup) over *n* live HTTP shard servers.
-
-    The master snapshot is hash-partitioned on the schema's first
-    attribute — exactly what ``serve-master --shard i/N`` does — and each
-    partition served by its own in-process :class:`MasterServer`.
-    """
-    from repro.engine.sharded import ShardedStore, shard_of
-
-    attr = bundle.schema.attributes[0]
-    parts = [[] for _ in range(n)]
-    for row in master_rows:
-        parts[shard_of((row[attr],), n)].append(row)
-    servers = [
-        MasterServer(InMemoryStore(Relation(bundle.schema, part))).start()
-        for part in parts
-    ]
-    store = ShardedStore(
-        [RemoteStore(server.url) for server in servers],
-        track_order=False,
-    )
-
-    def cleanup():
-        store.close()
-        for server in servers:
-            server.close()
-
-    return store, cleanup
-
-
-def _bench_sharded_series(bundle, master_rows, data, finals, attr, keys,
-                          probe_repeats: int) -> dict:
-    """Batch + probe throughput per fleet width (1/2/4 shards)."""
-    series = {}
-    for n in (1, 2, 4):
-        store, cleanup = _make_sharded_fleet(bundle, master_rows, n)
-        try:
-            engine = BatchRepairEngine(bundle.rules, store, bundle.schema)
-            cold, cold_s = _run(engine, data)
-            assert [s.final for s in cold.sessions] == finals["memory"], (
-                f"sharded({n}) fixes diverged from the memory backend"
-            )
-            _, warm_s = _run(engine, data)
-            store.insert(_fresh_master_row(bundle, f"bench-shard-{n}"))
-            updated, updated_s = _run(engine, data)
-            assert updated.report.cache_invalidations == 1, (
-                f"sharded({n}): coordinator insert did not invalidate"
-            )
-            probe = _bench_probe_latency(store, attr, keys, probe_repeats)
-            started = time.perf_counter()
-            many = store.probe_many((attr,), keys)
-            many_s = time.perf_counter() - started
-            assert len(many) == len(keys)
-            info = store.shard_info()
-            series[str(n)] = {
-                "shards": n,
-                "cold_run_tps": _throughput(len(data), cold_s),
-                "warm_cache_run_tps": _throughput(len(data), warm_s),
-                "post_update_run_tps": _throughput(len(data), updated_s),
-                "probe_latency": probe,
-                "probe_many_batch_tps": _throughput(len(keys), many_s),
-                "fanouts": info["fanouts"],
-                "broadcast_probes": info["broadcast_probes"],
-            }
-            print(f"  sharded({n}): cold "
-                  f"{series[str(n)]['cold_run_tps']:8.1f} tps  warm "
-                  f"{series[str(n)]['warm_cache_run_tps']:8.1f} tps  "
-                  f"post-update "
-                  f"{series[str(n)]['post_update_run_tps']:8.1f} tps  "
-                  f"probe_many {series[str(n)]['probe_many_batch_tps']:10.1f}"
-                  f" keys/s")
-        finally:
-            cleanup()
-    return series
-
-
 def _bench_probe_latency(store, attr: str, keys: list, repeats: int) -> dict:
     """Raw probe cost: cold (first touch per key) vs warm (caches hot)."""
     store.ensure_index((attr,))
@@ -212,9 +128,6 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
     bundle, data = load_workload(config)
     print(f"[{dataset}] |Dm|={len(bundle.master)}  |D|={len(data)}")
 
-    # snapshot before any backend mutates (the memory backend shares the
-    # bundle relation); the sharded fleet loads this pristine master
-    master_rows = list(bundle.master.iter_rows())
     backends, cleanup = _make_backends(bundle)
     try:
         out: dict = {
@@ -362,11 +275,6 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
         out["remote_warm_within_factor"] = round(
             sqlite_warm / remote_warm, 3
         ) if remote_warm else None
-
-        # the scatter-gather coordinator over 1/2/4 live shard servers
-        out["sharded"] = _bench_sharded_series(
-            bundle, master_rows, data, finals, attr, keys, probe_repeats
-        )
     finally:
         cleanup()
 

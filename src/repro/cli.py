@@ -215,56 +215,6 @@ def _cmd_lint(args) -> int:
     return 1 if report.fails(args.fail_on) else 0
 
 
-def _parse_shard_spec(spec: str) -> tuple:
-    """Parse a ``serve-master --shard i/N`` spec into ``(index, count)``."""
-    try:
-        index_text, count_text = spec.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise ValueError(
-            f"--shard must look like i/N, e.g. 0/2 (got {spec!r})"
-        ) from None
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(
-            f"--shard index out of range: {spec!r} needs 0 <= i < N"
-        )
-    return index, count
-
-
-def _shard_predicate(args, schema):
-    """Row filter for ``serve-master --shard i/N``, or ``None``.
-
-    Keeps exactly the rows the fleet's routing hash places on this shard,
-    so N filtered servers together hold each master row exactly once —
-    and a ``ShardedStore`` coordinator with the same ``--route-attrs``
-    finds every row where it probes.
-    """
-    spec = getattr(args, "shard", None)
-    if not spec:
-        return None
-    from repro.engine.sharded import shard_of
-
-    index, count = _parse_shard_spec(spec)
-    route_attrs = _parse_route_attrs(args) or (schema.attributes[0],)
-    positions = [schema.index_of(attr) for attr in route_attrs]
-
-    def keep(row) -> bool:
-        return shard_of(
-            (row.values[p] for p in positions), count
-        ) == index
-
-    return keep
-
-
-def _parse_route_attrs(args):
-    """The comma-separated ``--route-attrs`` list, or ``None``."""
-    text = getattr(args, "route_attrs", None)
-    if not text:
-        return None
-    attrs = tuple(a.strip() for a in text.split(",") if a.strip())
-    return attrs or None
-
-
 def _load_master_store(args):
     """Build the master backend the user asked for.
 
@@ -275,47 +225,8 @@ def _load_master_store(args):
     master never has to fit in RAM; ``remote`` opens a
     :class:`~repro.engine.remote.RemoteStore` read-through client against
     a running ``serve-master`` instance (``--master-url``) — no master
-    file is read locally at all; ``sharded`` fans out over N such servers
-    (``--shard-urls``) behind a scatter-gather
-    :class:`~repro.engine.sharded.ShardedStore` coordinator.
-
-    ``serve-master --shard i/N`` additionally filters the memory/sqlite
-    load down to this shard's rows (see :func:`_shard_predicate`).
+    file is read locally at all.
     """
-    if args.master_backend == "sharded":
-        from repro.engine.remote import RemoteStore
-        from repro.engine.sharded import ShardedStore
-
-        urls = getattr(args, "shard_urls", None) or []
-        if not urls:
-            raise ValueError(
-                "--master-backend sharded needs --shard-urls, one URL per "
-                "running `serve-master --shard i/N` process (shard order "
-                "must match the i/N numbering)"
-            )
-        if args.master:
-            raise ValueError(
-                "--master and --master-backend sharded are mutually "
-                "exclusive: the shard servers own the master data"
-            )
-        clients = [
-            RemoteStore(
-                url,
-                poll_interval=args.master_poll,
-                probe_cache_size=args.probe_cache_size,
-            )
-            for url in urls
-        ]
-        # track_order=False: exact global iteration order would need a
-        # full fleet sweep at startup; shard-major order repairs
-        # identically (equal rows co-locate).
-        return ShardedStore(
-            clients,
-            route_attrs=_parse_route_attrs(args),
-            track_order=False,
-            retries=args.shard_retries,
-            backoff=args.shard_backoff,
-        )
     if args.master_backend == "remote":
         from repro.engine.remote import RemoteStore
 
@@ -343,25 +254,13 @@ def _load_master_store(args):
         from repro.engine.store import SqliteStore
 
         stream = stream_rows_from_csv(args.master)
-        keep = _shard_predicate(args, stream.schema)
-        rows = stream if keep is None else (
-            row for row in stream if keep(row)
-        )
         # fresh=True: the CSV is the source of truth; re-running against an
         # existing --sqlite-path must rebuild, not append to, the table.
         return SqliteStore(
-            stream.schema, rows, path=args.sqlite_path, fresh=True,
+            stream.schema, stream, path=args.sqlite_path, fresh=True,
             probe_cache_size=args.probe_cache_size,
         )
-    relation = relation_from_csv(args.master)
-    keep = _shard_predicate(args, relation.schema)
-    if keep is None:
-        return relation
-    from repro.engine.relation import Relation
-
-    return Relation(
-        relation.schema, [row for row in relation.iter_rows() if keep(row)]
-    )
+    return relation_from_csv(args.master)
 
 
 def _count_csv_data_rows(path) -> int:
@@ -431,10 +330,10 @@ def _cmd_batch_repair(args) -> int:
             print(f"(failed after {report.tuples} monitored tuples)",
                   file=sys.stderr)
         return 2
-    except (ValueError, ValidationFailed) as exc:
-        # Malformed input files (bad header, ragged row, invalid rules
-        # JSON, misaligned clean file), no certain region for (Σ, Dm), or
-        # clean values that keep conflicting with master data.
+    except (OSError, ValueError, ValidationFailed) as exc:
+        # Missing or malformed input files (bad header, ragged row, invalid
+        # rules JSON, misaligned clean file), no certain region for (Σ, Dm),
+        # or clean values that keep conflicting with master data.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(result.report.describe())
@@ -464,22 +363,16 @@ def _cmd_serve_master(args) -> int:
 
     try:
         store = as_master_store(_load_master_store(args))
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     server = MasterServer(store, host=args.host, port=args.port)
     print(f"serving {store!r}")
-    if getattr(args, "shard", None):
-        print(f"  shard: {args.shard} of the master (fleet member)")
     print(f"  url: {server.url}")
     print(f"  metrics: {server.url}/metrics (Prometheus text; "
           f"?format=json for JSON)")
-    if getattr(args, "shard", None):
-        print("  point a coordinator at the full fleet with: batch-repair "
-              "--master-backend sharded --shard-urls <url0> <url1> ...")
-    else:
-        print(f"  point clients at it with: batch-repair --master-backend "
-              f"remote --master-url {server.url}")
+    print(f"  point clients at it with: batch-repair --master-backend "
+          f"remote --master-url {server.url}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -626,36 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--output", help="repaired rows CSV to write")
     batch.add_argument("--report", help="JSON throughput report to write")
     batch.add_argument(
-        "--master-backend", choices=("memory", "sqlite", "remote", "sharded"),
+        "--master-backend", choices=("memory", "sqlite", "remote"),
         default="memory",
         help="master-data backend: 'memory' (Relation + hash indexes), "
              "'sqlite' (out-of-core indexed tables with an LRU probe "
-             "cache), 'remote' (read-through HTTP client against a "
-             "`serve-master` instance; see --master-url), or 'sharded' "
-             "(scatter-gather coordinator over N shard servers; see "
-             "--shard-urls)",
-    )
-    batch.add_argument(
-        "--shard-urls", nargs="+", metavar="URL",
-        help="with --master-backend sharded: base URLs of the N "
-             "`serve-master --shard i/N` processes, in i/N order",
-    )
-    batch.add_argument(
-        "--route-attrs", metavar="ATTRS",
-        help="with --master-backend sharded: comma-separated routing "
-             "attributes; must match the --route-attrs the shard servers "
-             "were filtered with (default: the schema's first attribute)",
-    )
-    batch.add_argument(
-        "--shard-retries", type=int, default=3, metavar="N",
-        help="with --master-backend sharded: replay an idempotent shard "
-             "read up to N times with exponential backoff before raising "
-             "(default: 3; mutations are never replayed)",
-    )
-    batch.add_argument(
-        "--shard-backoff", type=float, default=0.25, metavar="SECONDS",
-        help="with --master-backend sharded: initial retry backoff, "
-             "doubling per attempt, capped at 2s (default: 0.25)",
+             "cache) or 'remote' (read-through HTTP client against a "
+             "`serve-master` instance; see --master-url)",
     )
     batch.add_argument(
         "--sqlite-path",
@@ -748,19 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--probe-cache-size", type=int, default=4096, metavar="LINES",
         help="with --master-backend sqlite: LRU probe-cache bound for the "
              "served store (0 disables caching; default: 4096)",
-    )
-    serve.add_argument(
-        "--shard", metavar="i/N",
-        help="serve only this shard of the master: keep the CSV rows the "
-             "fleet routing hash places on shard i of N (run N such "
-             "processes, one per i, and point a `batch-repair "
-             "--master-backend sharded` coordinator at all of them)",
-    )
-    serve.add_argument(
-        "--route-attrs", metavar="ATTRS",
-        help="with --shard: comma-separated routing attributes; must "
-             "match the coordinator's --route-attrs (default: the "
-             "schema's first attribute)",
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: loopback only)")

@@ -42,6 +42,8 @@ in-process backends.
 
 **Failure model**: an unreachable server raises
 :class:`~repro.engine.store.StoreUnavailableError` with remedy text; a
+server that answers 5xx (its backing store failed or lied) raises
+:class:`~repro.engine.store.StoreError` carrying the server's message; a
 closed client raises :class:`~repro.engine.store.StoreDetachedError`.
 Reads are retried once over a fresh connection (a keep-alive the server
 timed out is indistinguishable from a dead server until the second try);
@@ -563,6 +565,15 @@ class MasterServer:
 _TRANSPORT_ERRORS = (http_client.HTTPException, OSError)
 
 
+def _error_text(data: bytes) -> str:
+    """The ``error`` field of a failure reply, else its raw body text."""
+    text = data.decode("utf-8", "replace")
+    try:
+        return json.loads(text)["error"]
+    except (ValueError, KeyError, TypeError):
+        return text.strip() or "(empty body)"
+
+
 class RemoteStore(MasterStore):
     """Read-through :class:`MasterStore` client for a :class:`MasterServer`.
 
@@ -757,6 +768,14 @@ class RemoteStore(MasterStore):
         self._observe_version(observed)
         if response.status == 400:
             raise ValueError(json.loads(data.decode("utf-8"))["error"])
+        if response.status >= 500:
+            # The server is up and answered: its own backing store failed
+            # (or lied).  Report what it said, not "unreachable".
+            raise StoreError(
+                f"master server at {self._url} failed on {method} "
+                f"{path.split('?', 1)[0]} (HTTP {response.status}): "
+                f"{_error_text(data)}"
+            )
         if response.status != 200:
             raise self._unavailable(
                 Exception(f"HTTP {response.status} on {path}")
@@ -800,7 +819,7 @@ class RemoteStore(MasterStore):
         """``(records, version_at_fetch)`` from the server, or ``None``."""
         try:
             payload, observed = self._request("GET", f"/deltas?since={since}")
-        except (StoreUnavailableError, ValueError):
+        except (StoreError, ValueError):
             return None
         wire = payload.get("deltas")
         if wire is None:

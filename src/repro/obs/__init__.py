@@ -46,11 +46,6 @@ repro_lint_budget_exhausted_total     counter    code                        cer
                                                                              closure-level)
 repro_lint_certify_cache_total        counter    result                      certification cache outcomes (hit, miss,
                                                                              delta_kept, recompute, full_drop)
-repro_shard_probe_seconds             histogram  shard                       ``ShardedStore`` per-shard scatter-leg span
-                                                                             (one fan-out = one observation per shard asked)
-repro_shard_fanout_width              histogram  —                           shards asked per scatter-gather dispatch
-repro_shard_retries_total             counter    shard                       idempotent shard calls replayed after backoff
-repro_shard_failures_total            counter    shard                       shard calls that raised unavailability
 repro_remote_request_seconds          histogram  endpoint                    ``RemoteStore`` HTTP request span (client side)
 repro_remote_requests_total           counter    endpoint, status            ``RemoteStore`` request outcomes (status=ok|error)
 repro_remote_reconnects_total         counter    —                           client connections re-opened

@@ -198,8 +198,8 @@ def test_csv_row_stream_detects_rewritten_file(tmp_path, small_relation):
 
 
 def test_cli_batch_repair_bad_inputs_are_clean_errors(tmp_path, capsys, hosp):
-    """Malformed --master/--rules/--clean all yield `error: ...` + exit 2,
-    never a traceback."""
+    """Malformed or missing --master/--rules/--clean all yield
+    `error: ...` + exit 2, never a traceback."""
     master_csv = tmp_path / "master.csv"
     relation_to_csv(hosp.master, master_csv)
     rules_json = tmp_path / "rules.json"
@@ -211,16 +211,24 @@ def test_cli_batch_repair_bad_inputs_are_clean_errors(tmp_path, capsys, hosp):
     ragged.write_text("a,b\n1\n", encoding="utf-8")
     bad_rules = tmp_path / "bad.json"
     bad_rules.write_text("not json", encoding="utf-8")
+    missing = tmp_path / "missing.csv"
 
     for argv in (
-        ["--rules", str(rules_json), "--master", str(ragged),
+        ["batch-repair", "--rules", str(rules_json), "--master", str(ragged),
          "--input", str(dirty_csv), "--clean", str(dirty_csv)],
-        ["--rules", str(bad_rules), "--master", str(master_csv),
+        ["batch-repair", "--rules", str(bad_rules),
+         "--master", str(master_csv),
          "--input", str(dirty_csv), "--clean", str(dirty_csv)],
-        ["--rules", str(rules_json), "--master", str(master_csv),
+        ["batch-repair", "--rules", str(rules_json),
+         "--master", str(master_csv),
          "--input", str(dirty_csv), "--clean", str(ragged)],
+        ["batch-repair", "--rules", str(rules_json), "--master", str(missing),
+         "--input", str(dirty_csv), "--clean", str(dirty_csv)],
+        ["batch-repair", "--rules", str(missing), "--master", str(master_csv),
+         "--input", str(dirty_csv), "--clean", str(dirty_csv)],
+        ["serve-master", "--master", str(missing), "--port", "0"],
     ):
-        assert main(["batch-repair", *argv]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
 

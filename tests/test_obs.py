@@ -1,8 +1,10 @@
 """repro.obs: registry semantics, exposition formats, progress, global gate."""
 
+import ast
 import io
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +276,24 @@ def test_progress_unknown_total_streams_counts():
 def test_progress_rejects_negative_interval():
     with pytest.raises(ValueError):
         ProgressReporter(interval=-1)
+
+
+def test_documented_metrics_are_emitted_somewhere():
+    """Every ``repro_*`` row of the package docstring's metric table names
+    a series some other ``repro`` module records: its name must appear
+    there as a string literal, so deleting an emitter without its row
+    fails here."""
+    documented = [
+        line.split()[0] for line in obs.__doc__.splitlines()
+        if line.startswith("repro_")
+    ]
+    assert documented
+    package = Path(obs.__file__).resolve().parents[1]
+    literals = set()
+    for module in package.rglob("*.py"):
+        if module == Path(obs.__file__).resolve():
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    assert [name for name in documented if name not in literals] == []

@@ -26,6 +26,7 @@ from repro.engine.store import (
     InMemoryStore,
     SqliteStore,
     StoreDetachedError,
+    StoreError,
     StoreUnavailableError,
 )
 from repro.engine.tuples import Row
@@ -210,6 +211,35 @@ def test_unreachable_server_raises_store_unavailable(served, schema):
         RemoteStore(url)
     with pytest.raises(StoreUnavailableError, match="unreachable"):
         client.probe(("k",), ("nope",))  # cache miss → dead round-trip
+
+
+def test_lying_backing_store_is_refused_server_side(served, rows,
+                                                   monkeypatch):
+    """A backing store whose ``probe_many`` drops a key makes the server
+    refuse the exchange (HTTP 500); the client reports the server's own
+    message — not "unreachable" — and caches nothing from it."""
+    _, backing, client = served
+    real = backing.probe_many
+
+    def lying(attrs, keys):
+        out = dict(real(attrs, keys))
+        out.pop(next(iter(out)))
+        return out
+
+    monkeypatch.setattr(backing, "probe_many", lying)
+    keys = [("a",), ("b",), ("zz",)]
+    with pytest.raises(StoreError, match="refusing to serve a truncated "
+                                         "/probe_many response") as info:
+        client.probe_many(("k",), keys)
+    assert not isinstance(info.value, StoreUnavailableError)
+    assert "HTTP 500" in str(info.value)
+    assert client.probe_cache_info()["size"] == 0
+    monkeypatch.undo()
+    assert client.probe_many(("k",), keys) == {
+        ("a",): (rows[0], rows[2]),
+        ("b",): (rows[1],),
+        ("zz",): (),
+    }
 
 
 def test_closed_client_raises_store_detached(served):

@@ -11,29 +11,9 @@ import pytest
 
 from repro.engine.relation import Relation
 from repro.engine.remote import MasterServer, RemoteStore
-from repro.engine.sharded import ShardedStore
 from repro.engine.store import InMemoryStore, SqliteStore
 
 from store_conformance import StoreConformance, conformance_rows
-
-
-@contextlib.contextmanager
-def _shards_lie(store, skew):
-    """Make every shard of a ShardedStore answer one key too few/many."""
-    for shard in store.shards:
-        def lying(attrs, keys, _real=shard.probe_many):
-            out = dict(_real(attrs, keys))
-            if skew < 0:
-                out.pop(next(iter(out)))
-            else:
-                out[("__liar__",) * len(tuple(attrs))] = ()
-            return out
-        shard.probe_many = lying
-    try:
-        yield
-    finally:
-        for shard in store.shards:
-            del shard.probe_many
 
 
 class TestInMemoryStoreConformance(StoreConformance):
@@ -115,46 +95,3 @@ class TestRemoteStoreConformance(StoreConformance):
 
         return lie()
 
-
-class TestShardedMemoryStoreConformance(StoreConformance):
-    """The scatter-gather coordinator over two in-memory shards."""
-
-    @pytest.fixture
-    def store(self):
-        schema = self.schema()
-        backend = ShardedStore(
-            [InMemoryStore(Relation(schema)) for _ in range(2)],
-            route_attrs=("k",),
-            rows=conformance_rows(schema),
-        )
-        yield backend
-        backend.close()
-
-    def resync(self, parent, clone):
-        # Memory shards are snapshots: ship rows + stamp, as for the
-        # plain in-memory backend (rows re-route by hash on the way in).
-        clone.reset_rows(tuple(parent), parent.version)
-
-    def lie_probe_many(self, store, skew):
-        return _shards_lie(store, skew)
-
-
-class TestShardedRemoteStoreConformance(StoreConformance):
-    """The fleet deployment shape: the coordinator over two RemoteStore
-    clients, each against its own memory-backed MasterServer."""
-
-    @pytest.fixture
-    def store(self):
-        schema = self.schema()
-        with MasterServer(InMemoryStore(Relation(schema))) as s0, \
-                MasterServer(InMemoryStore(Relation(schema))) as s1:
-            backend = ShardedStore(
-                [RemoteStore(s0.url), RemoteStore(s1.url)],
-                route_attrs=("k",),
-                rows=conformance_rows(schema),
-            )
-            yield backend
-            backend.close()
-
-    def lie_probe_many(self, store, skew):
-        return _shards_lie(store, skew)
