@@ -15,10 +15,14 @@ Seeds ``BENCH_store.json``.  Six questions, per dataset:
    version (over HTTP for the remote backend), so the rerun first rebuilds
    regions/BDD/memos; the gap between (2) and (3) is the price of an
    incremental master update;
-4. **sustained mutations** — a series of master inserts, each followed by
-   a rerun, the monitoring steady state the delta journal targets: the
-   engine must answer every bump with a per-key purge (``delta_purges``
-   climbs, ``full_drops`` stays 0) and hold near-warm throughput;
+4. **sustained mutations** — a series of master inserts alternating with
+   updates of the row just inserted, each followed by a rerun, the
+   monitoring steady state the delta journal targets: the engine must
+   answer every bump with a per-key purge (``delta_purges`` climbs,
+   ``full_drops`` stays 0), keep its certain regions through inserts and
+   updates alike (``region_rebuilds`` stays 0) and hold near-warm
+   throughput.  The backends step in lockstep and must fix identically
+   after every step;
 5. **delta-invalidation speedup** — the same post-update rerun through a
    ``delta_invalidation=False`` engine measures the historical full-drop
    cost on the same machine; in full mode the delta path must beat it by
@@ -75,6 +79,22 @@ def _fresh_master_row(bundle, key: str = "bench-store-fresh-key"):
     donor = bundle.master.row_at(0)
     first_attr = bundle.master.schema.attributes[0]
     return donor.with_values({first_attr: key})
+
+
+def _private_column(bundle) -> str:
+    """A master column every rule touching it also keys on the first
+    attribute, so rewriting it in a fresh-key row (see
+    :func:`_fresh_master_row`) only moves master keys no other row
+    shares: the certain regions must survive the update."""
+    key = bundle.schema.attributes[0]
+    for column in bundle.schema.attributes[1:]:
+        touching = [
+            rule for rule in bundle.rules
+            if column in rule.lhs_m or column == rule.rhs_m
+        ]
+        if touching and all(key in rule.lhs_m for rule in touching):
+            return column
+    raise ValueError(f"{bundle.name}: no column is private to {key!r}")
 
 
 def _make_backends(bundle) -> tuple:
@@ -137,6 +157,8 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
             "probe_latency": {},
         }
         finals = {}
+        engines = {}
+        phases = {}
         for name, store in backends.items():
             setup_started = time.perf_counter()
             engine = BatchRepairEngine(bundle.rules, store, bundle.schema)
@@ -150,20 +172,55 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
             assert updated.report.cache_invalidations == 1, (
                 f"{name}: master insert did not invalidate the shared caches"
             )
+            finals[name] = [s.final for s in cold.sessions]
+            engines[name] = engine
+            phases[name] = (setup, cold_s, warm_s, updated, updated_s)
 
-            # sustained-mutation series: the monitoring steady state —
-            # every insert must resolve through the delta journal, not a
-            # full drop, and throughput must hold near the warm level
-            series_tps = []
-            for i in range(mutations):
-                store.insert(
-                    _fresh_master_row(bundle, f"bench-store-sustained-{i}")
+        # sustained-mutation series: the monitoring steady state — every
+        # insert, and every update of the row just inserted, must resolve
+        # through the delta journal (not a full drop) without discarding
+        # the certain regions, and throughput must hold near the warm
+        # level.  All backends take each step before the next one starts,
+        # so their fixes can be compared step by step.
+        column = _private_column(bundle)
+        series_tps: dict = {name: [] for name in backends}
+        region_rebuilds = {name: 0 for name in backends}
+        last = None
+        for i in range(mutations):
+            if i % 2:
+                new = last.with_values({column: f"{last[column]}-rev{i}"})
+            else:
+                new = _fresh_master_row(bundle, f"bench-store-sustained-{i}")
+            step_finals = {}
+            for name, store in backends.items():
+                if i % 2:
+                    assert store.update(last, new), (
+                        f"{name}: sustained-series row vanished"
+                    )
+                else:
+                    store.insert(new)
+                step, step_s = _run(engines[name], data)
+                series_tps[name].append(_throughput(len(data), step_s))
+                region_rebuilds[name] += step.report.region_rebuilds
+                step_finals[name] = [s.final for s in step.sessions]
+            last = new
+            for name in step_finals:
+                assert step_finals[name] == step_finals["memory"], (
+                    f"step {i}: memory and {name} fixed differently after "
+                    f"the same master mutation"
                 )
-                _, step_s = _run(engine, data)
-                series_tps.append(_throughput(len(data), step_s))
+        for name, count in region_rebuilds.items():
+            assert count == 0, (
+                f"{name}: {count} of {mutations} sustained mutations "
+                f"discarded the certain regions"
+            )
+
+        for name, store in backends.items():
+            setup, cold_s, warm_s, updated, updated_s = phases[name]
+            engine = engines[name]
             inner = engine.engine
             assert inner.delta_purges + inner.full_drops == 1 + mutations, (
-                f"{name}: {1 + mutations} master inserts must produce "
+                f"{name}: {1 + mutations} master mutations must produce "
                 f"{1 + mutations} invalidations"
             )
 
@@ -183,7 +240,7 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
             # keep the delta engine in lockstep with the store (the probe
             # microbench below asserts identical rows across backends)
             _, catchup_s = _run(engine, data)
-            series_tps.append(_throughput(len(data), catchup_s))
+            series_tps[name].append(_throughput(len(data), catchup_s))
             ref_tps = _throughput(len(data), ref_s)
             delta_tps = _throughput(len(data), updated_s)
             speedup = round(delta_tps / ref_tps, 2) if ref_tps else None
@@ -197,7 +254,7 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
                         f"{DELTA_SPEEDUP_FLOOR:.0f}x"
                     )
 
-            finals[name] = [s.final for s in cold.sessions]
+            tps = series_tps[name]
             entry = {
                 "setup_s": round(setup, 4),
                 "cold_run": {
@@ -218,12 +275,12 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
                 ),
                 "sustained_mutation_runs": {
                     "mutations": mutations + 1,
-                    "throughput_tps": series_tps,
-                    "mean_tps": round(
-                        sum(series_tps) / len(series_tps), 2
-                    ) if series_tps else 0.0,
+                    "updated_column": column,
+                    "throughput_tps": tps,
+                    "mean_tps": round(sum(tps) / len(tps), 2) if tps else 0.0,
                     "delta_purges": inner.delta_purges,
                     "full_drops": inner.full_drops,
+                    "region_rebuilds": region_rebuilds[name],
                 },
                 "full_drop_reference": {
                     "post_update_tps": ref_tps,
@@ -243,7 +300,8 @@ def bench_dataset(dataset: str, scale: dict, probe_repeats: int,
                   f"{entry['post_update_run']['throughput_tps']:8.1f} tps  "
                   f"sustained "
                   f"{entry['sustained_mutation_runs']['mean_tps']:8.1f} tps "
-                  f"(purges={inner.delta_purges} drops={inner.full_drops})  "
+                  f"(purges={inner.delta_purges} drops={inner.full_drops} "
+                  f"region rebuilds={region_rebuilds[name]})  "
                   f"full-drop ref {ref_tps:8.1f} tps "
                   f"(speedup {speedup}x)")
 

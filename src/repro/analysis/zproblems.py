@@ -58,6 +58,52 @@ def attr_pattern_constants(attr: str, rules: Iterable) -> tuple:
     return tuple(out)
 
 
+def projection_options(z: Sequence, rules: Sequence) -> tuple:
+    """Per-attribute ``(static options, master columns)`` for candidate
+    patterns over ``Z``: the static options are the attribute's positive
+    pattern constants (or ``[ANY]`` for an attribute Σ never reads), the
+    columns are the master attributes whose per-row values join them."""
+    per_attr_static: dict = {}
+    per_attr_columns: dict = {}
+    for attr in z:
+        columns = attr_master_options(attr, rules)
+        constants = attr_pattern_constants(attr, rules)
+        per_attr_columns[attr] = columns
+        if not columns and not constants:
+            per_attr_static[attr] = [ANY]
+        else:
+            per_attr_static[attr] = list(constants)
+    return per_attr_static, per_attr_columns
+
+
+def row_projected_patterns(
+    z: Sequence, options: tuple, tm, per_row_cap: int = 32
+) -> list:
+    """The candidate patterns master tuple *tm* contributes, in order.
+
+    *options* comes from :func:`projection_options`.  The per-row body of
+    :func:`master_projected_patterns` (before de-duplication across rows).
+    """
+    per_attr_static, per_attr_columns = options
+    option_lists = []
+    for attr in z:
+        values = list(per_attr_static[attr])
+        for column in per_attr_columns[attr]:
+            value = tm[column]
+            if value not in values:
+                values.append(value)
+        option_lists.append(values[:per_row_cap])
+    combos = 1
+    for values in option_lists:
+        combos *= len(values)
+    if combos > per_row_cap:
+        option_lists = _trim_options(option_lists, per_row_cap)
+    return [
+        PatternTuple(dict(zip(z, combo)))
+        for combo in itertools.product(*option_lists)
+    ]
+
+
 def master_projected_patterns(
     z: Sequence,
     rules: Sequence,
@@ -72,18 +118,7 @@ def master_projected_patterns(
     plus any positive pattern constants guarding it; attributes not occurring
     in Σ become wildcards.  Duplicates are dropped, insertion order is kept.
     """
-    rules = list(rules)
-    per_attr_static: dict = {}
-    per_attr_columns: dict = {}
-    for attr in z:
-        columns = attr_master_options(attr, rules)
-        constants = attr_pattern_constants(attr, rules)
-        per_attr_columns[attr] = columns
-        if not columns and not constants:
-            per_attr_static[attr] = [ANY]
-        else:
-            per_attr_static[attr] = list(constants)
-
+    options = projection_options(z, list(rules))
     seen = set()
     out = []
     # No-copy sweep: masters may be large (or out-of-core stores); never
@@ -92,21 +127,7 @@ def master_projected_patterns(
     if max_rows is not None:
         rows = itertools.islice(rows, max_rows)
     for tm in rows:
-        option_lists = []
-        for attr in z:
-            options = list(per_attr_static[attr])
-            for column in per_attr_columns[attr]:
-                value = tm[column]
-                if value not in options:
-                    options.append(value)
-            option_lists.append(options[:per_row_cap])
-        combos = 1
-        for options in option_lists:
-            combos *= len(options)
-        if combos > per_row_cap:
-            option_lists = _trim_options(option_lists, per_row_cap)
-        for combo in itertools.product(*option_lists):
-            pattern = PatternTuple(dict(zip(z, combo)))
+        for pattern in row_projected_patterns(z, options, tm, per_row_cap):
             if pattern not in seen:
                 seen.add(pattern)
                 out.append(pattern)

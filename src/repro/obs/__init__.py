@@ -38,6 +38,8 @@ repro_transfix_memo_total             counter    result=hit|miss             bat
 repro_cache_invalidations_total       counter    —                           master-version moves reconciling shared caches
 repro_store_delta_purge_total         counter    —                           version moves resolved by per-key delta purges
 repro_store_full_drop_total           counter    —                           version moves falling back to the full cache drop
+repro_region_guard_total              counter    result=kept|rebuilt         delta purges that kept the certain regions /
+                                                                             discarded them for a CompCRegion rebuild
 repro_store_probe_seconds             histogram  backend, op=probe|many      ``MasterStore.probe``/``probe_many`` span per backend
 repro_lint_pass_seconds               histogram  code                        one lint pass execution (per diagnostic code)
 repro_lint_budget_exhausted_total     counter    code                        certification budget exhaustions (E205 = the

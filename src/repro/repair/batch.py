@@ -134,6 +134,10 @@ class BatchReport:
     #: delta purges vs. how many fell back to the historical full drop.
     delta_purges: int = 0
     full_drops: int = 0
+    #: Of the ``delta_purges``, how many discarded the certain regions
+    #: (the region guard could not prove them unchanged), so the next
+    #: tuple paid a full CompCRegion rebuild.  Full drops always do.
+    region_rebuilds: int = 0
     master_version: int = 0
     #: Wall-clock seconds of the shared precomputation this run leaned on:
     #: ``region_precompute_s`` (paid once at engine construction, amortized
@@ -208,6 +212,7 @@ class BatchReport:
             "cache_invalidations": self.cache_invalidations,
             "delta_purges": self.delta_purges,
             "full_drops": self.full_drops,
+            "region_rebuilds": self.region_rebuilds,
             "master_version": self.master_version,
             "timings": {
                 name: round(value, 6)
@@ -256,6 +261,7 @@ class BatchReport:
                 f"master updated mid-run: shared caches reconciled "
                 f"{self.cache_invalidations} time(s) "
                 f"({self.delta_purges} delta purge(s), "
+                f"{self.region_rebuilds} region rebuild(s), "
                 f"{self.full_drops} full drop(s), "
                 f"store version {self.master_version})"
             )
@@ -600,6 +606,7 @@ def _process_worker_chunk(task: tuple) -> dict:
     invalidations0 = engine.cache_invalidations
     delta_purges0 = engine.delta_purges
     full_drops0 = engine.full_drops
+    region_rebuilds0 = engine.region_rebuilds
     # Strictly newer only: tasks are dispatched through one FIFO queue, so
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
@@ -641,6 +648,7 @@ def _process_worker_chunk(task: tuple) -> dict:
         "invalidations": engine.cache_invalidations - invalidations0,
         "delta_purges": engine.delta_purges - delta_purges0,
         "full_drops": engine.full_drops - full_drops0,
+        "region_rebuilds": engine.region_rebuilds - region_rebuilds0,
         "warm_s": warm_s,
         # Ack: lets the parent stop attaching snapshots once every worker
         # has confirmed the post-mutation stamp.
@@ -927,6 +935,7 @@ class BatchRepairEngine:
         totals = {
             "chase": [0, 0], "transfix": [0, 0], "suggestions": [0, 0],
             "invalidations": 0, "delta_purges": 0, "full_drops": 0,
+            "region_rebuilds": 0,
             "warm_s": 0.0,
         }
 
@@ -962,6 +971,7 @@ class BatchRepairEngine:
             totals["invalidations"] += result["invalidations"]
             totals["delta_purges"] += result["delta_purges"]
             totals["full_drops"] += result["full_drops"]
+            totals["region_rebuilds"] += result["region_rebuilds"]
             totals["warm_s"] += result["warm_s"]
             stats = worker_stats.setdefault(result["worker"], {
                 "chunks": 0, "tuples": 0,
@@ -1032,6 +1042,7 @@ class BatchRepairEngine:
             cache_invalidations=totals["invalidations"],
             delta_purges=totals["delta_purges"],
             full_drops=totals["full_drops"],
+            region_rebuilds=totals["region_rebuilds"],
             master_version=self._safe_store_version(),
             timings={
                 "region_precompute_s": self._region_precompute_s,
@@ -1054,6 +1065,7 @@ class BatchRepairEngine:
         invalidations_before = engine.cache_invalidations
         delta_purges_before = engine.delta_purges
         full_drops_before = engine.full_drops
+        region_rebuilds_before = engine.region_rebuilds
         bdd_before = engine.cache_stats
         bdd_hits0 = bdd_before.hits if bdd_before is not None else 0
         bdd_misses0 = bdd_before.misses if bdd_before is not None else 0
@@ -1160,6 +1172,7 @@ class BatchRepairEngine:
             ),
             delta_purges=engine.delta_purges - delta_purges_before,
             full_drops=engine.full_drops - full_drops_before,
+            region_rebuilds=engine.region_rebuilds - region_rebuilds_before,
             master_version=self._safe_store_version(),
             timings={
                 "region_precompute_s": self._region_precompute_s,

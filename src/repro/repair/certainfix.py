@@ -173,8 +173,11 @@ class CertainFix:
         Consume the store's delta journal on master mutation: purge only
         the cache entries a changed row can touch and keep everything
         else stamped valid, falling back to the full drop whenever the
-        journal cannot vouch for the gap (window overflow, bulk loads,
-        deletes the region guard will not absorb).  Off means every
+        journal cannot vouch for the gap (window overflow, bulk loads).
+        Certain regions survive an insert, delete or update batch when
+        the :class:`~repro.repair.invalidation.RegionGuard` proves a
+        fresh CompCRegion would return the same list; otherwise only
+        they are rebuilt (counted in ``region_rebuilds``).  Off means every
         version move performs the historical full teardown — the
         reference behaviour the equivalence fuzz compares against.
     """
@@ -233,6 +236,10 @@ class CertainFix:
         #: purges vs. how many fell back to the historical full drop.
         self.delta_purges = 0
         self.full_drops = 0
+        #: Of the delta purges, how many discarded the certain regions
+        #: because the region guard could not prove them unchanged (a full
+        #: drop always discards them).
+        self.region_rebuilds = 0
         self.collect_provenance = collect_provenance
         # Position of each rule object in Σ, for provenance records.  Keyed
         # by identity: equal-but-distinct duplicates must keep their own
@@ -360,9 +367,15 @@ class CertainFix:
         rows = [Row(self.store.schema, delta.values) for delta in deltas]
         if self._regions is not None:
             guard = self._region_guard
-            if guard is None or not guard.absorb(deltas, self.store):
+            kept = guard is not None and guard.absorb(deltas, self.store)
+            if not kept:
                 self._regions = None
                 self._region_guard = None
+                self.region_rebuilds += 1
+            obs.inc(
+                "repro_region_guard_total",
+                result="kept" if kept else "rebuilt",
+            )
         patch_pattern_cache(self._pattern_cache, self.rules, deltas, rows)
         if self._cache is not None:
             patch_pattern_cache(

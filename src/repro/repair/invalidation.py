@@ -20,17 +20,22 @@ consumer-side machinery that turns those deltas into per-key purges:
   entries could a mutated row invalidate?" in time proportional to the
   number of distinct probed attribute lists, not the number of entries.
 * :class:`RegionGuard` — decides whether the precomputed certain regions
-  survive a delta batch *unchanged*.  Deletes (and updates, which journal
-  as delete+insert) always rebuild.  For inserts the guard proves the
-  fresh rebuild would produce the identical region list: every examined
-  seed must have had at least ``validate_patterns`` candidate patterns
-  (so patterns projected off the new row land beyond the checked window),
-  checks whose recorded probe keys the new row matches are re-run against
-  the live master (their good/not-good verdict must not flip), and checks
-  whose instantiation choices grow with the row's novel active values are
-  re-verified by chasing exactly the new value combinations.  Anything it
-  cannot prove falls back to a rebuild — the guard only ever skips work,
-  never correctness.
+  survive a delta batch *unchanged*, for inserts, deletes and updates
+  (which journal as delete+insert) alike.  It proves the fresh rebuild
+  would produce the identical region list: no row appears in two deltas
+  of the batch; every examined seed had at least ``validate_patterns``
+  candidate patterns (so patterns projected off an inserted row land
+  beyond the checked window) and no deleted row projects onto a pattern
+  a seed checked (so the window never loses a member); a probe key a
+  changed row falls under either keeps, for every rule probing it, the
+  same set of guard-passing ``rhs_m`` values before and after the batch,
+  or the checks that probed it are re-run against the live master
+  (their good/not-good verdict must not flip); a deleted value that
+  leaves a domain-feeding column re-runs the non-vacuous checks that
+  instantiate over it; and checks whose instantiation choices grow with
+  an inserted row's novel active values are re-verified by chasing
+  exactly the new value combinations.  Anything it cannot prove falls
+  back to a rebuild — the guard only ever skips work, never correctness.
 * :func:`row_supports_pattern` — the per-row body of the pattern-probe
   sweep (``_pattern_holds_on_master``), used to patch cached rule
   eligibility per delta instead of re-sweeping the master.
@@ -47,11 +52,13 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.active_domain import (
+    ActiveDomainCache,
     attribute_active_domain,
     instantiate_condition,
     read_attrs,
 )
 from repro.analysis.consistency import AnalysisExplosion, check_pattern
+from repro.analysis.zproblems import projection_options, row_projected_patterns
 from repro.core.fixes import chase
 from repro.core.regions import Region
 from repro.engine.schema import RelationSchema
@@ -296,33 +303,46 @@ class RegionGuard:
     many candidate patterns existed and what verdict each checked
     pattern received (the ``record`` sink of ``comp_c_region``), and a
     snapshot of the master's active values for every column that feeds
-    an instantiation domain.  :meth:`absorb` then proves, delta batch by
-    delta batch, that a fresh rebuild would reproduce the current region
-    list exactly — or returns False, sending the owner down the ordinary
-    rebuild path (a False return leaves the guard stale; the owner must
-    discard it together with the regions).  Proof obligations per
-    inserted row:
+    a readable attribute's instantiation domain.  :meth:`absorb` then
+    proves, delta batch by delta batch, that a fresh rebuild would
+    reproduce the current region list exactly — or returns False,
+    sending the owner down the ordinary rebuild path (a False return
+    leaves the guard stale; the owner must discard it together with the
+    regions).  Proof obligations per batch:
 
-    1. every examined seed saw ≥ ``validate_patterns`` candidates, so
-       patterns projected off the new row append beyond the checked
-       window and the window's contents are unchanged (candidates are
-       generated per master row in insertion order);
-    2. checks whose recorded probe keys the row matches are re-run
-       against the live master — their good/not-good verdict (the only
-       part of an examination the region list depends on) must not
-       flip; checks the row's probes miss replay identically by
+    1. **batch shape** — no row's values appear in two deltas of the
+       batch (an update's delete and insert carry different rows, so
+       updates qualify; an insert-then-delete of one row does not);
+    2. **window** — every examined seed saw ≥ ``validate_patterns``
+       candidates, and candidates are generated per master row in
+       insertion order, so patterns projected off an inserted row append
+       beyond the checked window; a deleted row leaves the window intact
+       iff none of its projected patterns is one the seed checked (the
+       checked prefix of the candidate sequence never came from it);
+    3. **probe hits** — the chase reads a probed master row only through
+       ``rule.master_guard.matches(tm)`` and ``tm[rule.rhs_m]``, so a
+       changed row under a recorded probe key is benign iff, for every
+       rule probing that attribute list whose master guard the row
+       passes, the set of guard-passing ``rhs_m`` values under the key
+       is the same before and after the batch.  Other hits re-run their
+       checks against the live master — the good/not-good verdict (the
+       only part of an examination the region list depends on) must not
+       flip; checks the changed rows' probes miss replay identically by
        determinism;
-    3. for unhit checks whose instantiation choices grow with the row's
-       novel active values: the grown instantiation space must stay
-       within budget (a fresh build would raise ``AnalysisExplosion``
-       beyond it), a vacuous check must keep at least one empty choice
-       list, and a certain check must chase every *new* value
-       combination to a unique covering fix — on insert,
-       ``instantiate_condition`` outputs only grow, so old combinations
-       are a subset that replays identically.
-
-    Deletes always rebuild (rare on the hot path; an update journals as
-    delete+insert and therefore rebuilds too).
+    4. **shrinking active domains** — a domain-feeding column whose
+       deleted value no longer occurs in the live master re-runs every
+       non-vacuous check of the seeds reading an attribute it feeds
+       (a vacuous check stays vacuous: deletes never grow a choice
+       list);
+    5. **growing active domains** — for unhit checks whose instantiation
+       choices grow with the inserted rows' novel active values: the
+       grown instantiation space must stay within budget (a fresh build
+       would raise ``AnalysisExplosion`` beyond it), a vacuous check
+       must keep at least one empty choice list, and a certain check
+       must chase every *new* value combination to a unique covering
+       fix — old combinations are a subset that replays identically.
+       Checks whose affected attributes are all constant in the pattern
+       are skipped: a constant's choice list ignores active domains.
     """
 
     def __init__(
@@ -341,11 +361,14 @@ class RegionGuard:
         self._max_instantiations = max_instantiations
         # Mutable copies: check entries become [pattern, verdict, sink]
         # lists so re-verification can refresh verdicts and footprints.
+        # ``checked`` and ``options`` serve the delete-window proof.
         self._records = [
             {
                 "z": rec["z"],
                 "candidates": rec["candidates"],
                 "checks": [list(entry) for entry in rec["checks"]],
+                "checked": frozenset(entry[0] for entry in rec["checks"]),
+                "options": projection_options(rec["z"], self._rules),
             }
             for rec in seed_records
         ]
@@ -379,7 +402,8 @@ class RegionGuard:
             usable = False
         self._usable = usable
         # Master columns feeding each readable attribute's active domain
-        # (mirrors attribute_active_domain's column collection).
+        # (mirrors attribute_active_domain's column collection; attributes
+        # the rules never read instantiate without a domain).
         self._columns_by_attr: dict = {}
         self._rules_by_lhs_m: dict = {}
         for rule in self._rules:
@@ -389,14 +413,24 @@ class RegionGuard:
                 )
             self._columns_by_attr.setdefault(rule.rhs, set()).add(rule.rhs_m)
             self._rules_by_lhs_m.setdefault(tuple(rule.lhs_m), []).append(rule)
+        self._columns_by_attr = {
+            attr: columns
+            for attr, columns in self._columns_by_attr.items()
+            if attr in self._readable
+        }
         # Active-value snapshot for every domain-feeding column, taken at
-        # build time and advanced by every absorbed insert.
+        # build time and advanced to the post-batch values by every
+        # absorbed batch.
         self._active: dict = {}
         if usable:
             for columns in self._columns_by_attr.values():
                 for column in columns:
                     if column not in self._active:
                         self._active[column] = set(store.active_values(column))
+        self._column_positions = {
+            column: self._master_schema.index_of(column)
+            for column in self._active
+        }
 
     def _index_check(self, ri: int, ci: int, sink: Iterable) -> None:
         for attrs, key in sink:
@@ -429,74 +463,145 @@ class RegionGuard:
         """
         if not self._usable:
             return False
-        if any(delta.op != "insert" for delta in deltas):
+        values = [delta.values for delta in deltas]
+        if len(set(values)) != len(values):
+            return False  # obligation 1: one row, several deltas
+        if any(delta.op not in ("insert", "delete") for delta in deltas):
             return False
-        # Which checks did the new rows' probe keys touch (minus hits
-        # proven benign), and which columns gained new active values?
+        inserted = {d.values for d in deltas if d.op == "insert"}
+        deleted = [
+            Row(self._master_schema, d.values)
+            for d in deltas if d.op == "delete"
+        ]
+        if deleted and not self._window_survives(deleted):
+            return False
+        # Which checks did the changed rows' probe keys touch (minus hits
+        # proven benign)?
         hit: set = set()
-        novel_columns: set = set()
-        inserted = {delta.values for delta in deltas}
         for delta in deltas:
             row = Row(self._master_schema, delta.values)
             for attrs, keyed in self._probe_owners.items():
                 positions = self._positions[attrs]
                 key = tuple(delta.values[p] for p in positions)
                 owners = keyed.get(key)
-                if owners and not self._benign_insert(
-                    attrs, key, row, inserted, store
+                if owners and not self._benign_hit(
+                    attrs, key, row, inserted, deleted, store
                 ):
                     hit.update(owners)
-            for column, active in self._active.items():
-                value = delta.values[self._master_schema.index_of(column)]
-                if value not in active:
-                    novel_columns.add(column)
+        new_active, grown, shrunk = self._post_batch_actives(deltas, store)
+        if shrunk:
+            hit.update(self._domain_readers(shrunk))
         if hit and not self._reverify_hits(hit, store):
             return False
-        if novel_columns and not self._absorb_novel_values(
-            novel_columns, deltas, hit, store
+        if grown and not self._absorb_novel_values(
+            grown, new_active, hit, store
         ):
             return False
-        for delta in deltas:
-            for column, active in self._active.items():
-                active.add(delta.values[self._master_schema.index_of(column)])
+        self._active = new_active
         return True
 
-    def _benign_insert(
+    def _window_survives(self, deleted: list) -> bool:
+        """Obligation 2 for deletes: no deleted row projects onto a
+        pattern any seed checked, so each checked window is unchanged."""
+        for rec in self._records:
+            checked = rec["checked"]
+            for row in deleted:
+                for pattern in row_projected_patterns(
+                    rec["z"], rec["options"], row
+                ):
+                    if pattern in checked:
+                        return False
+        return True
+
+    def _benign_hit(
         self, attrs: tuple, key: tuple, row: Row, inserted: set,
-        store: MasterStore,
+        deleted: list, store: MasterStore,
     ) -> bool:
-        """Whether *row* joining the ``(attrs, key)`` probe result cannot
-        change any chase outcome that performed the probe.
+        """Whether *row* entering or leaving the ``(attrs, key)`` probe
+        result cannot change any chase outcome that performed the probe.
 
         The chase consumes a probed master row through exactly two reads:
         ``rule.master_guard.matches(tm)`` and ``tm[rule.rhs_m]`` (batch
-        firing, conflict detection and the post-pass all reduce to them).
-        So for every rule probing with this attribute list the insert is
-        invisible iff the row fails the rule's master guard, or all live
-        guard-passing matches agree on one rhs value *and* at least one
-        of them predates the batch — the rule fired before with the same
-        value, so firing again derives nothing new and the duplicate
-        post-pass edge is idempotent.  Probe keys shared by many checks
-        (common: instantiated patterns reuse hot master keys) then skip
+        firing, conflict detection and the post-pass all reduce to the set
+        of guard-passing rhs values under the key).  So for every rule
+        probing with this attribute list whose master guard *row* passes,
+        that set must be the same before and after the batch.  "Before" is
+        the live matches minus the batch's inserted rows plus its deleted
+        rows under the key.  Probe keys shared by many checks (common:
+        instantiated patterns reuse hot master keys) then skip
         re-verification entirely.
         """
         rules = self._rules_by_lhs_m.get(attrs)
         if rules is None:
             return False  # probe not attributable to a rule — be safe
+        live = store.probe_ref(attrs, key)
+        positions = self._positions[attrs]
+        gone = [
+            tm for tm in deleted
+            if tuple(tm.values[p] for p in positions) == key
+        ]
         for rule in rules:
-            if not rule.master_guard.matches(row):
+            guard = rule.master_guard
+            if not guard.matches(row):
                 continue
-            rhs_values: set = set()
-            old_match = False
-            for tm in store.probe_ref(attrs, key):
-                if not rule.master_guard.matches(tm):
+            after: set = set()
+            before: set = set()
+            for tm in live:
+                if not guard.matches(tm):
                     continue
-                rhs_values.add(tm[rule.rhs_m])
+                after.add(tm[rule.rhs_m])
                 if tuple(tm.values) not in inserted:
-                    old_match = True
-            if len(rhs_values) != 1 or not old_match:
+                    before.add(tm[rule.rhs_m])
+            for tm in gone:
+                if guard.matches(tm):
+                    before.add(tm[rule.rhs_m])
+            if before != after:
                 return False
         return True
+
+    def _post_batch_actives(self, deltas, store: MasterStore) -> tuple:
+        """``(post-batch active snapshot, grown columns, shrunk columns)``.
+
+        Inserted values join their columns.  A deleted value may have
+        left its column: unless an inserted row of the batch re-supplies
+        it, one live ``active_values`` sweep per such column decides.
+        Unchanged columns share the current snapshot's set.
+        """
+        added: dict = {}
+        removed: dict = {}
+        for delta in deltas:
+            bucket = added if delta.op == "insert" else removed
+            for column, position in self._column_positions.items():
+                bucket.setdefault(column, set()).add(delta.values[position])
+        new_active = dict(self._active)
+        for column, values in removed.items():
+            if not values <= added.get(column, set()):
+                new_active[column] = set(store.active_values(column))
+        for column, values in added.items():
+            if not values <= new_active[column]:
+                new_active[column] = new_active[column] | values
+        changed = [
+            column for column, active in new_active.items()
+            if active is not self._active[column]
+        ]
+        grown = {c for c in changed if not new_active[c] <= self._active[c]}
+        shrunk = {c for c in changed if not self._active[c] <= new_active[c]}
+        return new_active, grown, shrunk
+
+    def _domain_readers(self, columns: set) -> set:
+        """Obligation 4: the non-vacuous checks of every seed whose Z
+        holds a readable attribute fed by one of *columns*."""
+        out: set = set()
+        for ri, rec in enumerate(self._records):
+            if not any(
+                self._columns_by_attr.get(attr, set()) & columns
+                for attr in rec["z"]
+            ):
+                continue
+            for ci, entry in enumerate(rec["checks"]):
+                if entry[1] != "vacuous":
+                    out.add((ri, ci))
+        return out
 
     def _reverify_hits(self, hit: set, store: MasterStore) -> bool:
         """Re-run every probe-hit check against the live master.
@@ -508,6 +613,9 @@ class RegionGuard:
         the re-run so future absorbs see current dependencies.
         """
         recording = RecordingStore(store)
+        # One live master version for the whole call: active domains are
+        # swept once, not once per re-run check.
+        domains = ActiveDomainCache(self._rules, recording)
         for ri, ci in sorted(hit):
             rec = self._records[ri]
             entry = rec["checks"][ci]
@@ -522,6 +630,7 @@ class RegionGuard:
                     pattern,
                     self._schema,
                     self._max_instantiations,
+                    domains=domains,
                 )
             except AnalysisExplosion:
                 return False  # a fresh build would raise; rebuild to match
@@ -541,38 +650,31 @@ class RegionGuard:
         return True
 
     def _absorb_novel_values(
-        self, novel_columns: set, deltas, hit: set, store: MasterStore
+        self, novel_columns: set, new_active: dict, hit: set,
+        store: MasterStore,
     ) -> bool:
         """Verify unhit checks whose instantiation choices grew."""
-        old_snapshot = _SnapshotActives(self._active)
-        new_active = {
-            column: set(values) for column, values in self._active.items()
-        }
-        for delta in deltas:
-            for column in new_active:
-                new_active[column].add(
-                    delta.values[self._master_schema.index_of(column)]
-                )
-        new_snapshot = _SnapshotActives(new_active)
         # Instantiation contexts: active domains and per-(attr, condition)
         # choice lists are pure functions of the snapshot — memoised per
         # absorb so checks sharing conditions (the common case: candidate
         # patterns differ in a few attributes) pay for them once.
-        old_ctx = (old_snapshot, {}, {})
-        new_ctx = (new_snapshot, {}, {})
+        old_ctx = (_SnapshotActives(self._active), {}, {})
+        new_ctx = (_SnapshotActives(new_active), {}, {})
         for ri, rec in enumerate(self._records):
             z = rec["z"]
             affected = [
                 attr
                 for attr in z
-                if attr in self._readable
-                and self._columns_by_attr.get(attr, set()) & novel_columns
+                if self._columns_by_attr.get(attr, set()) & novel_columns
             ]
             if not affected:
                 continue
             for ci, entry in enumerate(rec["checks"]):
                 if (ri, ci) in hit:
                     continue  # already re-verified against the live master
+                pattern = entry[0]
+                if all(pattern[attr].is_constant for attr in affected):
+                    continue  # a constant's choices ignore active domains
                 if not self._check_survives_growth(
                     ri, ci, entry, z, old_ctx, new_ctx, store
                 ):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from repro.analysis.active_domain import ActiveDomainCache
 from repro.analysis.closure import (
     attribute_closure,
     mandatory_attrs,
@@ -85,6 +86,9 @@ def _validated_tableau(
     ``None`` (which disables retention).
     """
     candidates = master_projected_patterns(z, rules, master)
+    # The build runs at one master version: sweep each active domain once
+    # per seed, not once per checked pattern.
+    domains = ActiveDomainCache(rules, master)
     checked = 0
     good = []
     checks_record = [] if record is not None else None
@@ -99,7 +103,8 @@ def _validated_tableau(
             master.push_sink(sink)
         try:
             check = check_pattern(
-                rules, master, probe_region, pattern, schema, max_instantiations
+                rules, master, probe_region, pattern, schema,
+                max_instantiations, domains=domains,
             )
         finally:
             if scoped:
