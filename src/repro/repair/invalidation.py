@@ -411,13 +411,11 @@ class RegionGuard:
                 self._columns_by_attr.setdefault(attr, set()).add(
                     rule.master_attr_of(attr)
                 )
-            self._columns_by_attr.setdefault(rule.rhs, set()).add(rule.rhs_m)
+            if rule.rhs in self._readable:
+                self._columns_by_attr.setdefault(rule.rhs, set()).add(
+                    rule.rhs_m
+                )
             self._rules_by_lhs_m.setdefault(tuple(rule.lhs_m), []).append(rule)
-        self._columns_by_attr = {
-            attr: columns
-            for attr, columns in self._columns_by_attr.items()
-            if attr in self._readable
-        }
         # Active-value snapshot for every domain-feeding column, taken at
         # build time and advanced to the post-batch values by every
         # absorbed batch.
