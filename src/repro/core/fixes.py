@@ -196,7 +196,15 @@ def chase(
     rules, master:
         The rule set Σ and the master data ``Dm`` — a
         :class:`~repro.engine.store.MasterStore` or a plain relation
-        (adapted on entry); every master access is a keyed ``probe``.
+        (adapted on entry); every master access is a keyed probe.
+
+    Master reads: each step collects every rule whose premise just became
+    validated, whose pattern matches and whose key is known — protected
+    targets included — and reads all their keys with one
+    :meth:`~repro.engine.store.MasterStore.probe_batch` call (a remote
+    store sends that step's cache misses in one request).  Each distinct
+    ``(Xm, key)`` is read at most once per chase, and the step (g)
+    post-pass reuses the kept rows in Σ order without probing again.
     """
     master = as_master_store(master)
     rules = list(rules)
@@ -212,32 +220,42 @@ def chase(
     validated = set(zb)
     fired: list = []
     batches = 0
-    # Rules already applied (or found target-protected) need no re-checking:
-    # master data is fixed and validated values never change.
-    exhausted = [False] * len(rules)
+    # A rule is examined once, in the step its premise becomes validated:
+    # master data is fixed and validated values never change, so its
+    # pattern verdict, key and master rows are final.  ``rows_of`` keeps
+    # the rows (None: pattern mismatch or unknown key) for step (g), and
+    # ``read`` makes every (attrs, key) one read per chase.
+    examined = [False] * len(rules)
+    rows_of: list = [None] * len(rules)
+    read: dict = {}
 
     while True:
-        batch: list = []
-        new_values: dict = {}
-        culprit: dict = {}
+        step: list = []
+        wanted: dict = {}
         for i, rule in enumerate(rules):
-            if exhausted[i]:
+            if examined[i] or not rule.premise_attrs <= validated:
                 continue
-            if not rule.premise_attrs <= validated:
-                continue
-            if rule.rhs in validated:
-                # Protected target; step (g) below re-examines such rules.
-                exhausted[i] = True
-                continue
+            examined[i] = True
             if not rule.pattern.matches_values(assignment):
-                exhausted[i] = True
                 continue
             key = tuple(assignment[a] for a in rule.lhs)
             if any(v is UNKNOWN for v in key):
-                exhausted[i] = True
                 continue
-            matches = master.probe_ref(rule.lhs_m, key)
-            exhausted[i] = True
+            line = (rule.lhs_m, key)
+            step.append((i, line))
+            if line not in read:
+                wanted[line] = None
+        if wanted:
+            lines = list(wanted)
+            read.update(zip(lines, master.probe_batch(lines)))
+        batch: list = []
+        new_values: dict = {}
+        culprit: dict = {}
+        for i, line in step:
+            rule = rules[i]
+            matches = rows_of[i] = read[line]
+            if rule.rhs in validated:
+                continue  # protected target; step (g) re-examines it
             for tm in matches:
                 if not rule.master_guard.matches(tm):
                     continue
@@ -270,21 +288,18 @@ def chase(
             validated.add(attr)
 
     # Post-pass (exact step (g)): examine every pair applicable w.r.t. the
-    # final values whose target is already validated.  Same-value pairs
-    # contribute derivation edges; different-value pairs are conflicts iff
-    # their premise is derivable without their own target.
+    # final values whose target is already validated — exactly the kept
+    # rows, since every rule with a validated premise was examined.
+    # Same-value pairs contribute derivation edges; different-value pairs
+    # are conflicts iff their premise is derivable without their own
+    # target.
     edges: list = []
     candidates: list = []
     covered = frozenset(validated)
-    for rule in rules:
-        if not rule.premise_attrs <= covered:
+    for rule, matches in zip(rules, rows_of):
+        if matches is None:
             continue
-        if not rule.pattern.matches_values(assignment):
-            continue
-        key = tuple(assignment[a] for a in rule.lhs)
-        if any(v is UNKNOWN for v in key):
-            continue
-        for tm in master.probe_ref(rule.lhs_m, key):
+        for tm in matches:
             if not rule.master_guard.matches(tm):
                 continue
             value = tm[rule.rhs_m]

@@ -13,9 +13,10 @@ over the :class:`~repro.engine.store.MasterStore` seam, pure stdlib:
   ``/update`` — via ``python -m repro serve-master``;
 * :class:`RemoteStore` implements the full ``MasterStore`` ABC as a
   read-through client: an LRU probe cache stamped with the server's
-  version, batched ``probe_many`` to amortize round-trips, and
-  ``detach()`` / ``reattach()`` so process-pool workers each open their
-  own connection.
+  version, batched ``probe_batch`` / ``probe_many`` (every cache miss of
+  one call in a single ``/probe_many`` request) to amortize round-trips,
+  and ``detach()`` / ``reattach()`` so process-pool workers each open
+  their own connection.
 
 **Invalidation** piggybacks on every request: each server response carries
 an ``X-Master-Version`` header, and the moment the client observes a newer
@@ -431,28 +432,43 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
         return {"rows": [_encode_values(r.values) for r in rows]}
 
     def _post_probe_many(self, query, payload) -> dict:
-        attrs = tuple(payload["attrs"])
-        keys = [self._decode_key(k) for k in payload["keys"]]
-        out = self.server.store.probe_many(attrs, keys)
-        # Strict accounting before anything goes on the wire: the backing
-        # store must answer exactly the requested key set — a lying store
-        # fails the exchange loudly (HTTP 500) instead of shipping a
-        # response the client would have to zip-truncate.
-        missing = [key for key in keys if key not in out]
-        if missing:
-            raise StoreProtocolError(
-                f"backing {type(self.server.store).__name__}.probe_many "
-                f"answered {len(out)} keys for {len(set(keys))} requested "
-                f"({len(missing)} unanswered, e.g. {missing[0]!r}); "
-                f"refusing to serve a truncated /probe_many response"
-            )
-        # Aligned with request order; duplicates collapse server-side too.
+        """``POST /probe_many``: ``{"probes": [[attrs, key], ...]}``.
+
+        Attribute lists may differ per pair; the backing store's
+        ``probe_many`` runs once per distinct list, and the reply lists
+        one result per pair in request order.
+        """
+        probes = [
+            (tuple(attrs), self._decode_key(key))
+            for attrs, key in payload["probes"]
+        ]
+        groups: dict = {}
+        for attrs, key in probes:
+            groups.setdefault(attrs, []).append(key)
+        store = self.server.store
+        answers: dict = {}
+        for attrs, keys in groups.items():
+            out = store.probe_many(attrs, keys)
+            # Strict accounting before anything goes on the wire: the
+            # backing store must answer exactly the requested key set — a
+            # lying store fails the exchange loudly (HTTP 500) instead of
+            # shipping a response the client would have to zip-truncate.
+            missing = [key for key in keys if key not in out]
+            if missing:
+                raise StoreProtocolError(
+                    f"backing {type(store).__name__}.probe_many answered "
+                    f"{len(out)} keys for {len(set(keys))} requested "
+                    f"({len(missing)} unanswered, e.g. {missing[0]!r}); "
+                    f"refusing to serve a truncated /probe_many response"
+                )
+            answers[attrs] = out
         # The count echo lets clients cross-check the pairing even when a
         # middlebox rewrites the results array length.
         return {
-            "count": len(keys),
+            "count": len(probes),
             "results": [
-                [_encode_values(r.values) for r in out[key]] for key in keys
+                [_encode_values(r.values) for r in answers[attrs][key]]
+                for attrs, key in probes
             ],
         }
 
@@ -582,11 +598,22 @@ class RemoteStore(MasterStore):
     header is compared against the stamp and a newer value drops the
     probe / active-value / length caches before anything is returned — a
     server-side mutation invalidates this client exactly like a local
-    mutation invalidates the in-process backends.  ``probe_many`` ships
-    cache misses in one request.  The single keep-alive connection is
-    serialized behind a lock (the batch engine's thread fan-out probes
-    concurrently); workers of a process pool each reattach their own
-    connection from a :class:`RemoteStoreHandle`.
+    mutation invalidates the in-process backends.
+
+    ``probe_batch`` (the chase's one read per step) and ``probe_many``
+    share one miss path: LRU hits are answered locally and every miss of
+    the call, over any mix of attribute lists, crosses in one
+    ``POST /probe_many`` with body ``{"probes": [[attrs, key], ...]}``
+    (keys in the wire codec; unstorable keys resolve to "no match"
+    locally and never travel or cache).  The reply is
+    ``{"count": n, "results": [rows, ...]}`` in request order; a count
+    or length that disagrees with the request raises
+    :class:`~repro.engine.store.StoreProtocolError` and caches nothing.
+
+    The single keep-alive connection is serialized behind a lock (the
+    batch engine's thread fan-out probes concurrently); workers of a
+    process pool each reattach their own connection from a
+    :class:`RemoteStoreHandle`.
 
     Parameters
     ----------
@@ -1015,76 +1042,101 @@ class RemoteStore(MasterStore):
         result = tuple(
             _decode_row(self._schema, cells) for cells in payload["rows"]
         )
-        self._cache_probe(cache_key, result, observed)
+        self._cache_probe([(cache_key, result)], observed)
         return result
 
-    def _cache_probe(self, cache_key: tuple, result: tuple,
-                     observed: int) -> None:
-        """Insert one LRU line, but only under the stamp it was read at —
-        a concurrent observation of a newer version means *result* may be
-        stale and must not outlive the invalidation that just happened."""
+    def _cache_probe(self, lines, observed: int) -> None:
+        """Insert ``(cache_key, result)`` LRU lines, but only under the
+        stamp they were read at — a concurrent observation of a newer
+        version means the results may be stale and must not outlive the
+        invalidation that just happened."""
         with self._cache_lock:
             if self._version == observed:
-                self._probe_cache.put(cache_key, result)
+                for cache_key, result in lines:
+                    self._probe_cache.put(cache_key, result)
 
     def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe: cache misses travel in one ``/probe_many`` body.
+        """Batched probe over one attribute list (see :meth:`probe_batch`).
 
         Semantically a :meth:`probe` loop (results land in the LRU too —
-        the batch engine's chunk warm-up is exactly this); the round-trip
-        count drops from one per key to one per call.
+        the batch engine's chunk warm-up is exactly this); the cache
+        misses travel in one ``/probe_many`` request.
         """
         with obs.time_block(
             "repro_store_probe_seconds", backend="remote", op="many"
         ):
-            return self._probe_many_impl(attrs, keys)
+            attrs = tuple(attrs)
+            keys = [self._check_key(attrs, key) for key in keys]
+            results = self._probe_pairs([(attrs, key) for key in keys])
+            return dict(zip(keys, results))
 
-    def _probe_many_impl(self, attrs: Iterable, keys: Iterable) -> dict:
-        attrs = tuple(attrs)
-        out: dict = {}
-        pending: list = []  # (key, encoded) cache misses
+    def probe_batch(self, probes: Iterable) -> list:
+        """LRU hits served locally; every miss in one ``/probe_many``."""
+        with obs.time_block(
+            "repro_store_probe_seconds", backend="remote", op="batch"
+        ):
+            pairs = []
+            for attrs, key in probes:
+                attrs = tuple(attrs)
+                pairs.append((attrs, self._check_key(attrs, key)))
+            self.probe_ref_calls += len(pairs)
+            return self._probe_pairs(pairs)
+
+    def _probe_pairs(self, pairs: list) -> list:
+        """Resolve checked ``(attrs, key)`` pairs, in order: the one wire
+        path of both batched probes."""
+        results: list = [None] * len(pairs)
+        pending: dict = {}  # (attrs, key) -> (encoded key, result slots)
         with self._cache_lock:
-            for key in keys:
-                key = self._check_key(attrs, key)
-                if key in out:
+            for slot, line in enumerate(pairs):
+                waiting = pending.get(line)
+                if waiting is not None:
+                    waiting[1].append(slot)
                     continue
-                cached = self._probe_cache.get((attrs, key))
+                cached = self._probe_cache.get(line)
                 if cached is not None:
-                    out[key] = cached
+                    results[slot] = cached
                     continue
-                out[key] = ()  # filled below when rows come back
-                encoded = _wire_key(key)
-                if encoded is not None:
-                    pending.append((key, encoded))
-                # else: unstorable key matches nothing; stays (), uncached
+                encoded = _wire_key(line[1])
+                if encoded is None:
+                    # Unstorable key matches nothing; never cached.
+                    results[slot] = ()
+                    continue
+                pending[line] = (encoded, [slot])
         if not pending:
-            return out
+            return results
         payload, observed = self._request(
             "POST", "/probe_many",
-            {"attrs": list(attrs), "keys": [enc for _, enc in pending]},
+            {"probes": [
+                [list(attrs), encoded]
+                for (attrs, _), (encoded, _) in pending.items()
+            ]},
         )
-        results = payload["results"]
-        echoed = payload.get("count", len(results))
-        if len(results) != len(pending) or echoed != len(pending):
+        answers = payload["results"]
+        echoed = payload.get("count", len(answers))
+        if len(answers) != len(pending) or echoed != len(pending):
             # NEVER zip-truncate: a short (or padded) reply silently
             # resolved — and LRU-cached — the unpaired keys as "no
             # match", corrupting fixes.  Nothing from this response may
             # be returned or cached.
             raise StoreProtocolError(
-                f"{self._url}/probe_many answered {len(results)} result "
+                f"{self._url}/probe_many answered {len(answers)} result "
                 f"lists (count echo {echoed}) for {len(pending)} probe "
                 f"keys; refusing to pair them up — no result was cached "
                 f"or resolved.  The server and client disagree about the "
                 f"request: check for a proxy mangling request bodies or "
                 f"a server/client version skew"
             )
-        for (key, _), cells_list in zip(pending, results):
+        resolved = []
+        for (line, (_, slots)), cells_list in zip(pending.items(), answers):
             rows = tuple(
                 _decode_row(self._schema, cells) for cells in cells_list
             )
-            out[key] = rows
-            self._cache_probe((attrs, key), rows, observed)
-        return out
+            resolved.append((line, rows))
+            for slot in slots:
+                results[slot] = rows
+        self._cache_probe(resolved, observed)
+        return results
 
     def active_values(self, attr: str) -> set:
         self._schema.index_of(attr)  # KeyError for foreign attrs, as local

@@ -210,6 +210,32 @@ class _DeltaJournal:
         return tuple(r for r in self._records if r.version > start)
 
 
+def _pending_deltas(deltas, current: int, version: int):
+    """The part of a parent's delta list this store still has to apply.
+
+    *deltas* covers some contiguous version range ending at *version*; a
+    prefix at or below the store's own stamp *current* was applied
+    already (a worker that saw an earlier mutation is handed the whole
+    gap since the slowest worker's stamp) and is skipped.  Returns the
+    remaining records, exactly ``current + 1 .. version`` with known ops,
+    or ``None`` when the list cannot bridge that range.
+    """
+    if deltas is None:
+        return None
+    deltas = tuple(deltas)
+    for before, after in zip(deltas, deltas[1:]):
+        if after.version != before.version + 1:
+            return None
+    pending = tuple(d for d in deltas if d.version > current)
+    if len(pending) != version - current:
+        return None
+    if pending and pending[0].version != current + 1:
+        return None
+    if any(d.op not in ("insert", "delete") for d in pending):
+        return None
+    return pending
+
+
 class MasterStore(ABC):
     """Abstract master-data backend.
 
@@ -297,6 +323,19 @@ class MasterStore(ABC):
             if key not in out:
                 out[key] = self.probe(attrs, key)
         return out
+
+    def probe_batch(self, probes: Iterable) -> list:
+        """Many keyed probes at once, over mixed attribute lists.
+
+        *probes* is a sequence of ``(attrs, key)`` pairs; the result lists
+        ``probe_ref(attrs, key)`` for each pair, in input order, under the
+        same aliasing contract (results MUST NOT be mutated).  The chase
+        reads every rule key of one step through a single call, so
+        backends with per-probe round-trip cost (sqlite, remote) override
+        this with one batched plan; the default loops over
+        :meth:`probe_ref`.
+        """
+        return [self.probe_ref(attrs, key) for attrs, key in probes]
 
     @abstractmethod
     def ensure_index(self, attrs: Iterable) -> None:
@@ -532,29 +571,22 @@ class InMemoryStore(MasterStore):
     def adopt_deltas(self, deltas, version: int) -> bool:
         """Replay a parent's delta list onto this snapshot copy.
 
-        Validates the list is exactly the contiguous range from this
-        store's stamp to *version* before touching anything; a delete
-        that misses mid-replay returns False (contents diverged — the
-        caller's snapshot fallback replaces everything, so a partial
-        replay is harmless).
+        Validates (via :func:`_pending_deltas`) that the list bridges this
+        store's stamp to *version* before touching anything, skipping a
+        prefix this copy already applied; a delete that misses mid-replay
+        returns False (contents diverged — the caller's snapshot fallback
+        replaces everything, so a partial replay is harmless).
         """
-        if deltas is None:
+        pending = _pending_deltas(
+            deltas, self._relation.mutation_count, version
+        )
+        if pending is None:
             return False
-        current = self._relation.mutation_count
-        deltas = tuple(deltas)
-        if len(deltas) != version - current:
-            return False
-        for offset, delta in enumerate(deltas):
-            if delta.version != current + 1 + offset:
-                return False
-        for delta in deltas:
+        for delta in pending:
             row = Row(self.schema, delta.values)
             if delta.op == "insert":
                 self.insert(row)
-            elif delta.op == "delete":
-                if not self.delete(row):
-                    return False
-            else:
+            elif not self.delete(row):
                 return False
         return self._relation.mutation_count == version
 
@@ -1011,6 +1043,27 @@ class SqliteStore(MasterStore):
                     self._probe_cache.put((attrs, key), rows)
         return out
 
+    def probe_batch(self, probes: Iterable) -> list:
+        """One ``IN``-clause plan per attribute list of the batch.
+
+        Pairs are grouped by attribute list and each group runs through
+        the :meth:`probe_many` plan (LRU hits answered in place); the
+        results come back in input order.
+        """
+        with obs.time_block(
+            "repro_store_probe_seconds", backend="sqlite", op="batch"
+        ):
+            probes = [(tuple(attrs), tuple(key)) for attrs, key in probes]
+            self.probe_ref_calls += len(probes)
+            groups: dict = {}
+            for attrs, key in probes:
+                groups.setdefault(attrs, []).append(key)
+            answers = {
+                attrs: self._probe_many_impl(attrs, keys)
+                for attrs, keys in groups.items()
+            }
+            return [answers[attrs][key] for attrs, key in probes]
+
     def active_values(self, attr: str) -> set:
         self._guard()
         with self._lock:
@@ -1090,14 +1143,9 @@ class SqliteStore(MasterStore):
 
     def _sync_deltas(self, deltas, version: int) -> bool:
         """Apply a parent's delta list under the lock; False on any gap."""
-        pending = [d for d in deltas if d.version > self._version]
-        if len(pending) != version - self._version:
+        pending = _pending_deltas(deltas, self._version, version)
+        if pending is None:
             return False
-        for offset, delta in enumerate(pending):
-            if delta.version != self._version + 1 + offset:
-                return False
-            if delta.op not in ("insert", "delete"):
-                return False
         for delta in pending:
             self._count += 1 if delta.op == "insert" else -1
             self._bump_delta(delta.op, delta.values)

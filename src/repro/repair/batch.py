@@ -571,18 +571,21 @@ def _warm_chunk_probes(engine, pairs) -> float:
     """Batch-probe every rule key of the chunk before monitoring starts.
 
     Only called for stores with round-trip probe cost
-    (``supports_batched_probes``): one ``IN``-clause plan per rule fills
-    the probe cache with exactly the keys the chase/TransFix loops are
-    about to ask for, amortizing what would otherwise be one SELECT per
-    (tuple, rule).  Returns the seconds spent warming (the chunk's share
-    of ``BatchReport.timings["probe_warmup_s"]``).
+    (``supports_batched_probes``): one ``probe_batch`` over every
+    ``(rule, tuple)`` key fills the probe cache with exactly the keys the
+    chase/TransFix loops are about to ask for — one round trip per chunk
+    on a remote master, one ``IN``-clause plan per attribute list on
+    sqlite.  Returns the seconds spent warming (the chunk's share of
+    ``BatchReport.timings["probe_warmup_s"]``).
     """
     started = time.perf_counter()
-    store = engine.store
-    for rule in engine.rules:
-        keys = {row[rule.lhs] for row, _ in pairs}
-        if keys:
-            store.probe_many(rule.lhs_m, keys)
+    probes = dict.fromkeys(
+        (rule.lhs_m, row[rule.lhs])
+        for rule in engine.rules
+        for row, _ in pairs
+    )
+    if probes:
+        engine.store.probe_batch(list(probes))
     return time.perf_counter() - started
 
 
@@ -885,7 +888,8 @@ class BatchRepairEngine:
                 # the deltas resyncs per-key (and its engine then purges
                 # per-key too) instead of replacing its whole store state.
                 # None when the journal cannot vouch for the gap — workers
-                # then use the snapshot / shared-file fallback.
+                # then use the snapshot / shared-file fallback.  A worker
+                # already past _pool_version skips the prefix it applied.
                 deltas = store.deltas_since(self._pool_version)
                 if not store.shares_storage_across_processes:
                     if self._snapshot_cache is None or \

@@ -71,12 +71,12 @@ class RecordingStore(MasterStore):
     """Pass-through store wrapper that records keyed-probe footprints.
 
     ``footprints`` accumulates ``(attrs, key)`` for every keyed read
-    (``probe`` / ``probe_ref`` / ``probe_many`` / ``contains_key`` /
-    ``scan_probe``); ``swept`` notes whether any full sweep (iteration,
-    ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
-    consumers whose sweep-derived state is guarded by other means (the
-    region guard's active-value snapshot, the pattern-cache patcher)
-    deliberately ignore them.
+    (``probe`` / ``probe_ref`` / ``probe_many`` / ``probe_batch`` /
+    ``contains_key`` / ``scan_probe``); ``swept`` notes whether any full
+    sweep (iteration, ``len``, ``active_values``) happened.  Sweeps are
+    *not* footprints: consumers whose sweep-derived state is guarded by
+    other means (the region guard's active-value snapshot, the
+    pattern-cache patcher) deliberately ignore them.
 
     A *sink* pushed with :meth:`push_sink` additionally receives every
     footprint recorded until :meth:`pop_sink`, scoping dependencies to
@@ -121,6 +121,12 @@ class RecordingStore(MasterStore):
         for key in keys:
             self._record(attrs, key)
         return self._store.probe_many(attrs, keys)
+
+    def probe_batch(self, probes: Iterable) -> list:
+        probes = [(tuple(attrs), tuple(key)) for attrs, key in probes]
+        for attrs, key in probes:
+            self._record(attrs, key)
+        return self._store.probe_batch(probes)
 
     def scan_probe(self, attrs: Iterable, key) -> tuple:
         # Index-free, but still a keyed read: same dependency shape.

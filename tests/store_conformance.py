@@ -7,7 +7,8 @@ This module captures that contract once, as a suite any backend inherits:
 
 * probe semantics — exact-typed keys, insertion-order results, duplicate
   attributes, mismatched-key ``ValueError``, immutability of results,
-  ``probe_ref`` aliasing rules, ``probe_many`` ≡ a probe loop;
+  ``probe_ref`` aliasing rules, ``probe_many`` and ``probe_batch`` ≡ a
+  probe loop;
 * version semantics — monotone, moves iff the data changed, a failed
   delete/update does not bump;
 * mutation semantics — ``delete`` removes exactly one occurrence,
@@ -233,6 +234,46 @@ class StoreConformance:
         # a second round answers identically (nothing poisoned a cache)
         assert store.probe_many(attrs, keys) == via_loop
 
+    def test_probe_batch_matches_probe_loop(self, store):
+        """``probe_batch`` over mixed attribute lists answers each pair,
+        in input order, exactly as a ``probe`` loop would — duplicate
+        pairs, misses and unstorable keys included — cold and warm."""
+        rows = self.rows()
+        unstorable = (object(),)
+        probes = [
+            (("k",), ("a",)),
+            (("k", "v"), ("b", "y")),
+            (("k",), ("zzz",)),
+            (("n",), (3,)),
+            (("k",), unstorable),
+            (("k",), ("a",)),  # duplicate pair
+            (("k", "k"), ("a", "a")),
+            (("k", "v"), ("c", NULL)),
+            (("k", "v"), ("b", "y")),  # duplicate, other attribute list
+            (("k",), ("b",)),
+        ]
+        truth = [
+            (rows[0], rows[2]),
+            (rows[1],),
+            (),
+            (rows[2],),
+            (),
+            (rows[0], rows[2]),
+            (rows[0], rows[2]),
+            (rows[3],),
+            (rows[1],),
+            (rows[1],),
+        ]
+        cold = store.probe_batch(probes)
+        assert isinstance(cold, list)
+        assert [tuple(r) for r in cold] == truth
+        assert [store.probe(attrs, key) for attrs, key in probes] == truth
+        warm = store.probe_batch(iter(probes))
+        assert [tuple(r) for r in warm] == truth
+        assert store.probe_batch([]) == []
+        with pytest.raises(ValueError, match="does not match attribute list"):
+            store.probe_batch([(("k",), ("a",)), (("k", "v"), ("a",))])
+
     @pytest.mark.parametrize("skew", [-1, 1], ids=["fewer", "more"])
     def test_lying_probe_many_raises_typed_error_caches_nothing(
         self, store, skew
@@ -261,6 +302,30 @@ class StoreConformance:
         assert store.probe_many(attrs, keys) == truth
         for key in keys:
             assert store.probe(attrs, key) == truth[key]
+
+    @pytest.mark.parametrize("skew", [-1, 1], ids=["fewer", "more"])
+    def test_lying_probe_many_mixed_batch_caches_nothing(self, store, skew):
+        """The same strict accounting for a ``probe_batch`` whose misses
+        span several attribute lists in one ``/probe_many`` exchange."""
+        lie = self.lie_probe_many(store, skew)
+        if lie is None:
+            pytest.skip("backend has no lower layer that could lie")
+        rows = self.rows()
+        probes = [
+            (("k",), ("a",)),
+            (("k", "v"), ("b", "y")),
+            (("n",), (4,)),
+            (("k",), ("zz",)),
+        ]
+        truth = [(rows[0], rows[2]), (rows[1],), (rows[3],), ()]
+        cache_info = getattr(store, "probe_cache_info", None)
+        size0 = cache_info()["size"] if cache_info is not None else None
+        with lie:
+            with pytest.raises(StoreProtocolError):
+                store.probe_batch(probes)
+        if cache_info is not None:
+            assert cache_info()["size"] == size0
+        assert [tuple(r) for r in store.probe_batch(probes)] == truth
 
     # -- versioning and mutation ---------------------------------------------
 
@@ -422,6 +487,31 @@ class StoreConformance:
             assert clone.version == store.version
             assert list(clone) == list(store)
             assert clone.probe(("k",), ("late",)) == (late,)
+        finally:
+            self.cleanup_clone(clone)
+
+    def test_clone_ahead_of_shipped_deltas_skips_applied_prefix(self, store):
+        """A clone that already adopted the first mutation is shipped the
+        whole gap since an older stamp (the slowest worker's): it skips
+        the prefix at or below its own stamp and applies the rest."""
+        if not self.supports_detach:
+            pytest.skip("backend refuses detach()")
+        schema = self.schema()
+        stamp = store.version
+        clone = store.detach().reattach()
+        try:
+            first = Row(schema, ("first", "z", 7))
+            store.insert(first)
+            assert clone.adopt_deltas(store.deltas_since(stamp), store.version)
+            second = Row(schema, ("second", "z", 8))
+            store.insert(second)
+            deltas = store.deltas_since(stamp)
+            assert len(deltas) == 2
+            assert clone.adopt_deltas(deltas, store.version)
+            assert clone.version == store.version
+            assert list(clone) == list(store)
+            assert clone.probe(("k",), ("first",)) == (first,)
+            assert clone.probe(("k",), ("second",)) == (second,)
         finally:
             self.cleanup_clone(clone)
 

@@ -200,6 +200,37 @@ def test_snapshot_shipping_stops_after_all_workers_ack(hosp, hosp_dirty):
         assert batch._pool_version == batch.store.version
 
 
+def test_back_to_back_inserts_never_full_drop_workers(hosp):
+    """A worker already holding an intermediate stamp is shipped the gap
+    since the slowest worker's stamp; it skips the prefix it applied and
+    adopts the rest per-key instead of resetting from the snapshot."""
+    import random
+
+    from repro.datasets import make_dirty_dataset
+    from repro.engine.relation import Relation
+
+    data = list(make_dirty_dataset(hosp, size=16, seed=9))
+    batches = [data[0:4], data[4:8], data[8:12], data]
+    rng = random.Random(5)
+    inserts = [hosp.entity_factory(rng) for _ in range(3)]
+    pooled = Relation(hosp.schema, hosp.master.iter_rows())
+    serial = Relation(hosp.schema, hosp.master.iter_rows())
+    with BatchRepairEngine(hosp.rules, pooled, hosp.schema,
+                           use_bdd=False, executor="process",
+                           concurrency=2, chunk_size=4) as batch, \
+            BatchRepairEngine(hosp.rules, serial, hosp.schema,
+                              use_bdd=False) as reference:
+        for step, chunk in enumerate(batches):
+            if step < len(inserts):
+                batch.store.insert(inserts[step])
+                reference.store.insert(inserts[step])
+            result = batch.run(_pairs(chunk))
+            expected = reference.run(_pairs(chunk))
+            assert result.report.full_drops == 0, step
+            assert result.final_rows == expected.final_rows
+            assert result.final_rows == [dt.clean for dt in chunk]
+
+
 # -- spec / lifecycle ---------------------------------------------------------
 
 
