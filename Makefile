@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test conformance smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
+.PHONY: test conformance differential smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,6 +72,14 @@ certify:
 # dedicated step).
 conformance:
 	$(PYTHON) -m pytest tests/test_store_conformance.py -q
+
+# The round's fix is read off the unique chase instead of a TransFix rerun:
+# the chase-vs-TransFix differential test plus the chase's cross-checks
+# against exhaustive order exploration.  A subset of `test`, named so a
+# chase/TransFix divergence is attributable on its own line (CI step).
+differential:
+	$(PYTHON) -m pytest tests/test_chase_transfix_differential.py \
+		tests/test_chase_explorer.py tests/test_property_based.py -q
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and
 # fails if the batch engine loses its >=2x margin over naive fix_stream.

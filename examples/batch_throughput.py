@@ -3,8 +3,9 @@
 
 The paper's CertainFix monitors one tuple at a time; production streams
 arrive in bulk.  ``BatchRepairEngine`` precomputes the certain regions,
-master hash indexes and the Suggest⁺ BDD once, memoizes chase/TransFix
-outcomes on the validated pattern, and runs the stream in chunks — here on
+master hash indexes and the Suggest⁺ BDD once, memoizes each round's
+unique-fix chase (whose fixpoint is the round's fix) on the validated
+pattern, and runs the stream in chunks — here on
 a HOSP workload, with the CSV round trip the CLI's ``batch-repair`` command
 uses.
 

@@ -34,7 +34,6 @@ repro_rounds_total                    counter    —                           i
 repro_region_precompute_seconds       histogram  —                           ``CompCRegion`` span (per shared precompute)
 repro_bdd_build_seconds               histogram  —                           Suggest⁺ BDD miss span (fresh suggestion + append)
 repro_chase_memo_total                counter    result=hit|miss             batch chase memo lookups
-repro_transfix_memo_total             counter    result=hit|miss             batch TransFix memo lookups
 repro_cache_invalidations_total       counter    —                           master-version moves reconciling shared caches
 repro_store_delta_purge_total         counter    —                           version moves resolved by per-key delta purges
 repro_store_full_drop_total           counter    —                           version moves falling back to the full cache drop

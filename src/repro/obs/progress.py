@@ -4,7 +4,7 @@
 stream is being monitored::
 
     [batch-repair] 512/2000 (25.6%) | 843.2 tuples/s | ETA 1.8s | \
-chase 92% | transfix 88% | suggest 97% | pid-811 421.0/s · pid-812 407.3/s
+chase 92% | suggest 97% | pid-811 421.0/s · pid-812 407.3/s
 
 The reporter is deliberately engine-agnostic — it knows about *units done*,
 optional totals, named rates and per-worker counts, nothing about repair —

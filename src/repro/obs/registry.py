@@ -12,7 +12,7 @@ Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data and picklable:
 the batch engine's process-pool workers each snapshot their private
 registry and the parent merges them with :meth:`MetricsSnapshot.merge`,
 which is associative — exactly the discipline ``MemoStats`` already
-follows for the memo tables.
+follows for the memo table.
 """
 
 from __future__ import annotations

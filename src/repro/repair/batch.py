@@ -9,13 +9,13 @@ adds the throughput layer on top of :class:`repro.repair.certainfix.CertainFix`:
   BDD suggestion cache are built once per ``(Σ, Dm)`` and reused by every
   session ("computed once and repeatedly used as long as Σ and Dm are
   unchanged");
-* **validated-pattern memoization** — the unique-fix chase and TransFix
-  both depend only on the *validated pattern* ``(Z', t[Z'])`` (every rule
-  they may fire has its premise inside ``Z'`` and master data is fixed), so
-  identical dirty shapes skip re-validation entirely;
+* **validated-pattern memoization** — the unique-fix chase, and the fix
+  read off it, depend only on the *validated pattern* ``(Z', t[Z'])``
+  (every rule it may fire has its premise inside ``Z'`` and master data is
+  fixed), so identical dirty shapes skip re-validation entirely;
 * **versioned invalidation** — masters are reached through the
   :class:`~repro.engine.store.MasterStore` seam; every shared structure
-  (regions, master indexes, the BDD, both memo tables) is stamped with the
+  (regions, master indexes, the BDD, the memo table) is stamped with the
   store version it was built against, and an ``insert``/``delete``/
   ``update`` of a master tuple moves the version so all of them rebuild
   lazily before the next monitored tuple — incremental master updates can
@@ -33,10 +33,10 @@ rule is about where a session spends its time: an **I/O-bound oracle**
 (live users, a feedback service over the network) releases the GIL while it
 waits, so threads scale and cost nothing to set up; a **CPU-bound oracle**
 (scoring models, simulated users over large masters — any workload where
-the chase/TransFix/oracle arithmetic dominates) keeps the GIL busy, and
+the chase/oracle arithmetic dominates) keeps the GIL busy, and
 only a process pool buys real cores.  The process pool ships a picklable
 :class:`EngineSpec` to each worker once (pool initializer), where it is
-rehydrated — certain regions, master indexes and memo tables are rebuilt
+rehydrated — certain regions, master indexes and the memo table are rebuilt
 per worker — so expect a per-worker warm-up cost that pays off on streams
 much longer than ``workers × chunk_size``.
 
@@ -76,6 +76,8 @@ from repro.repair.invalidation import FootprintIndex, RecordingStore
 from repro.repair.oracle import SimulatedUser
 from repro.repair.transfix import TransFixResult
 
+#: Memo lookup sentinel: ``None`` is a stored value (a non-unique chase).
+_ABSENT = object()
 
 @dataclass
 class MemoStats:
@@ -119,13 +121,14 @@ class BatchReport:
     workers: int = 1
     #: Per-worker breakdown keyed by worker label — ``pid-<n>`` for the
     #: process pool, ``thread-<n>`` for the thread fan-out — each value a
-    #: flat dict of chunk/tuple counts and memo-table hit/miss counters.
+    #: flat dict of chunk/tuple counts and memo hit/miss counters.
     #: Threads share one set of caches, so their rows split the shared
     #: counters by which thread performed each lookup.  Empty only for
     #: sequential runs (``concurrency=1``).
     worker_stats: dict = field(default_factory=dict)
     regions_precomputed: int = 0
     chase_memo: MemoStats = field(default_factory=MemoStats)
+    #: Always zero; the next benchmark change removes it and its reader.
     transfix_memo: MemoStats = field(default_factory=MemoStats)
     suggestion_hits: int = 0
     suggestion_misses: int = 0
@@ -181,14 +184,9 @@ class BatchReport:
             "executor": self.executor,
             "workers": self.workers,
             "worker_stats": {
-                worker: dict(stats, **{
-                    "chase_hit_rate": round(_rate(
-                        stats["chase_hits"], stats["chase_misses"]
-                    ), 4),
-                    "transfix_hit_rate": round(_rate(
-                        stats["transfix_hits"], stats["transfix_misses"]
-                    ), 4),
-                })
+                worker: dict(stats, chase_hit_rate=round(_rate(
+                    stats["chase_hits"], stats["chase_misses"]
+                ), 4))
                 for worker, stats in self.worker_stats.items()
             },
             "elapsed_s": round(self.elapsed, 6),
@@ -198,11 +196,6 @@ class BatchReport:
                 "hits": self.chase_memo.hits,
                 "misses": self.chase_memo.misses,
                 "hit_rate": round(self.chase_memo.hit_rate, 4),
-            },
-            "transfix_memo": {
-                "hits": self.transfix_memo.hits,
-                "misses": self.transfix_memo.misses,
-                "hit_rate": round(self.transfix_memo.hit_rate, 4),
             },
             "suggestion_cache": {
                 "hits": self.suggestion_hits,
@@ -230,9 +223,7 @@ class BatchReport:
             f"rounds/tuple: {self.mean_rounds:.2f}  "
             f"completed: {self.completed}  incomplete: {self.incomplete}",
             f"chase memo: {self.chase_memo.hit_rate:.0%} hit "
-            f"({self.chase_memo.hits}/{self.chase_memo.lookups})  "
-            f"transfix memo: {self.transfix_memo.hit_rate:.0%} hit "
-            f"({self.transfix_memo.hits}/{self.transfix_memo.lookups})",
+            f"({self.chase_memo.hits}/{self.chase_memo.lookups})",
         ]
         if self.suggestion_hits or self.suggestion_misses:
             lines.append(
@@ -272,8 +263,6 @@ class BatchReport:
                 f"  {worker}: {stats['tuples']} tuples in "
                 f"{stats['chunks']} chunk(s), chase "
                 f"{_rate(stats['chase_hits'], stats['chase_misses']):.0%} "
-                f"hit, transfix "
-                f"{_rate(stats['transfix_hits'], stats['transfix_misses']):.0%} "
                 f"hit"
             )
         return "\n".join(lines)
@@ -307,36 +296,33 @@ class BatchResult:
 
 
 class _MemoCertainFix(CertainFix):
-    """CertainFix with chase/TransFix outcomes memoized per validated pattern.
+    """CertainFix with each round's validated fix memoized per pattern.
 
-    Soundness: every rule the chase or TransFix may fire has its premise
-    ``X ∪ Xp`` inside the validated set ``Z'`` (and grows ``Z'`` only with
-    master-derived values), so both outcomes are pure functions of
-    ``(Z', t[Z'])`` given fixed ``(Σ, Dm)`` — the memo key.  "Fixed" is
-    enforced by version-stamping: when the master store's version moves,
-    the inherited sync hook clears both memo tables along with the base
-    engine's regions/BDD/suggest caches.
+    Soundness: every rule the chase may fire has its premise ``X ∪ Xp``
+    inside the validated set ``Z'`` (and grows ``Z'`` only with
+    master-derived values), so its outcome — not unique, or unique with
+    the fix read off it — is a pure function of ``(Z', t[Z'])`` given
+    fixed ``(Σ, Dm)``: the memo key.  "Fixed" is enforced by
+    version-stamping: when the master store's version moves, the inherited
+    sync hook purges the memo along with the base engine's regions/BDD
+    caches.
     """
 
     def __init__(self, *args, memoize: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
         self._memoize = memoize
+        # (Z', t[Z']) -> None (the chase is not unique) or the applied
+        # (rule, tm) pairs the fix is rebuilt from.
         self._chase_memo: dict = {}
-        self._transfix_memo: dict = {}
-        # Reverse indexes from master probe footprints to memo entries:
-        # a journal delta purges exactly the entries whose chase/TransFix
-        # run probed the changed row (see repro.repair.invalidation).
+        # Reverse index from master probe footprints to memo entries: a
+        # journal delta purges exactly the entries whose chase probed the
+        # changed row (see repro.repair.invalidation).
         self._chase_footprints = FootprintIndex(self.store.schema)
-        self._transfix_footprints = FootprintIndex(self.store.schema)
-        # Per-thread footprint-recording store swapped in around miss-path
-        # recomputes (thread-local: concurrent sessions record separately).
-        self._recording = threading.local()
         self.chase_stats = MemoStats()
-        self.transfix_stats = MemoStats()
         self._bdd_lock = None
         # Counter increments are read-modify-write and would drop updates
         # under the thread fan-out; the lock is uncontended (nanoseconds)
-        # next to a chase or TransFix run.
+        # next to a chase run.
         self._stats_lock = threading.Lock()
         # Optional per-thread split of the shared memo counters, keyed by
         # thread ident; enabled by the batch engine's thread fan-out so
@@ -368,7 +354,6 @@ class _MemoCertainFix(CertainFix):
             stats = sink[ident] = {
                 "chunks": 0, "tuples": 0, "_chunk": None,
                 "chase_hits": 0, "chase_misses": 0,
-                "transfix_hits": 0, "transfix_misses": 0,
             }
         stats[key] += 1
 
@@ -385,16 +370,15 @@ class _MemoCertainFix(CertainFix):
                 stats["_chunk"] = chunk_seq
                 stats["chunks"] += 1
 
-    # Both hooks run under the base engine's ``_memo_guard`` hold, and the
-    # stamp-checked writes below guarantee a worker that computed against
-    # the old version cannot re-poison the freshly reconciled tables.
+    # Both master-sync hooks run under the base engine's ``_memo_guard``
+    # hold, and the stamp-checked write in _validated_fix guarantees a
+    # worker that computed against the old version cannot re-poison the
+    # freshly reconciled table.
 
     def _drop_master_caches(self) -> None:
         super()._drop_master_caches()
         self._chase_memo.clear()
-        self._transfix_memo.clear()
         self._chase_footprints.clear()
-        self._transfix_footprints.clear()
 
     def _apply_master_deltas(self, deltas) -> bool:
         if not super()._apply_master_deltas(deltas):
@@ -403,106 +387,53 @@ class _MemoCertainFix(CertainFix):
         # changed rows recomputes along the identical probe path to the
         # identical outcome, so only footprint hits need to go.  Every
         # entry must carry a footprint for that argument to hold — if the
-        # tables ever disagree (they should not), fall back to the drop.
-        rows = [delta.values for delta in deltas]
-        for memo, index in (
-            (self._chase_memo, self._chase_footprints),
-            (self._transfix_memo, self._transfix_footprints),
+        # table and index ever disagree (they should not), fall back to
+        # the drop.
+        if len(self._chase_memo) != len(self._chase_footprints):
+            return False
+        for key in self._chase_footprints.affected(
+            [delta.values for delta in deltas]
         ):
-            if len(memo) != len(index):
-                return False
-            for key in index.affected(rows):
-                memo.pop(key, None)
-                index.discard(key)
+            self._chase_memo.pop(key, None)
+            self._chase_footprints.discard(key)
         return True
 
     def _memo_key(self, row: Row, validated: frozenset) -> tuple:
         attrs = tuple(sorted(validated))
         return attrs, row[attrs]
 
-    def _chase_store(self):
-        # Miss-path recomputes chase through a footprint-recording wrapper
-        # (installed by _record_footprints below); everything else reads
-        # the store directly.
-        recording = getattr(self._recording, "store", None)
-        return recording if recording is not None else self.store
-
-    def _record_footprints(self, compute):
-        """Run *compute* (a chase/TransFix recompute) with probe-footprint
-        recording; returns ``(result, footprints_or_None)``."""
-        if not self._delta_invalidation:
-            return compute(), None
-        recording = RecordingStore(self.store)
-        self._recording.store = recording
-        try:
-            result = compute()
-        finally:
-            self._recording.store = None
-        return result, recording.footprints
-
-    def _unique(self, row: Row, validated: frozenset) -> bool:
+    def _validated_fix(
+        self, row: Row, validated: frozenset, store=None
+    ) -> TransFixResult | None:
         if not self._memoize:
-            return super()._unique(row, validated)
+            return super()._validated_fix(row, validated, store)
         key = self._memo_key(row, validated)
         stamp = self._master_version
-        cached = self._chase_memo.get(key)
-        if cached is None:
-            with self._stats_lock:
-                self.chase_stats.misses += 1
-                self._bump_thread("chase_misses")
-            obs.inc("repro_chase_memo_total", result="miss")
-            cached, footprints = self._record_footprints(
-                lambda: super(_MemoCertainFix, self)._unique(row, validated)
-            )
-            with self._memo_guard:
-                if self._master_version == stamp:
-                    self._chase_memo[key] = cached
-                    if footprints is not None:
-                        self._chase_footprints.add(key, footprints)
-        else:
+        applied = self._chase_memo.get(key, _ABSENT)
+        if applied is not _ABSENT:
             with self._stats_lock:
                 self.chase_stats.hits += 1
                 self._bump_thread("chase_hits")
             obs.inc("repro_chase_memo_total", result="hit")
-        return cached
-
-    def _transfix(self, row: Row, validated: frozenset) -> TransFixResult:
-        if not self._memoize:
-            return super()._transfix(row, validated)
-        key = self._memo_key(row, validated)
-        stamp = self._master_version
-        entry = self._transfix_memo.get(key)
-        if entry is None:
-            with self._stats_lock:
-                self.transfix_stats.misses += 1
-                self._bump_thread("transfix_misses")
-            obs.inc("repro_transfix_memo_total", result="miss")
-            result, footprints = self._record_footprints(
-                lambda: super(_MemoCertainFix, self)._transfix(row, validated)
-            )
-            fixes = tuple(
-                (rule.rhs, result.row[rule.rhs]) for rule, _ in result.applied
-            )
-            with self._memo_guard:
-                if self._master_version == stamp:
-                    self._transfix_memo[key] = (
-                        fixes, tuple(result.applied), result.lookups,
-                    )
-                    if footprints is not None:
-                        self._transfix_footprints.add(key, footprints)
-            return result
+            if applied is None:
+                return None
+            return TransFixResult.from_chase(row, validated, applied)
         with self._stats_lock:
-            self.transfix_stats.hits += 1
-            self._bump_thread("transfix_hits")
-        obs.inc("repro_transfix_memo_total", result="hit")
-        fixes, applied, lookups = entry
-        fixed_row = row.with_values(dict(fixes)) if fixes else row
-        return TransFixResult(
-            row=fixed_row,
-            validated=frozenset(validated) | {attr for attr, _ in fixes},
-            applied=list(applied),
-            lookups=lookups,
+            self.chase_stats.misses += 1
+            self._bump_thread("chase_misses")
+        obs.inc("repro_chase_memo_total", result="miss")
+        recording = (
+            RecordingStore(self.store) if self._delta_invalidation else None
         )
+        result = super()._validated_fix(row, validated, recording)
+        with self._memo_guard:
+            if self._master_version == stamp:
+                self._chase_memo[key] = (
+                    None if result is None else tuple(result.applied)
+                )
+                if recording is not None:
+                    self._chase_footprints.add(key, recording.footprints)
+        return result
 
     def _next_suggestion(self, cursor, row, validated):
         # The BDD is the only mutable structure shared *across* concurrent
@@ -535,7 +466,7 @@ class EngineSpec:
     connections cannot cross a fork/spawn boundary, so the handle re-opens
     the database file in the worker, while an in-memory master ships its
     rows by value.  ``build()`` rehydrates the engine: certain regions,
-    master probe indexes and the memo tables are rebuilt per worker against
+    master probe indexes and the memo table are rebuilt per worker against
     the handle's version stamp, so the parent's and every worker's caches
     sit on one shared version stream.
     """
@@ -573,7 +504,7 @@ def _warm_chunk_probes(engine, pairs) -> float:
     Only called for stores with round-trip probe cost
     (``supports_batched_probes``): one ``probe_batch`` over every
     ``(rule, tuple)`` key fills the probe cache with exactly the keys the
-    chase/TransFix loops are about to ask for — one round trip per chunk
+    chase is about to ask for — one round trip per chunk
     on a remote master, one ``IN``-clause plan per attribute list on
     sqlite.  Returns the seconds spent warming (the chunk's share of
     ``BatchReport.timings["probe_warmup_s"]``).
@@ -624,7 +555,6 @@ def _process_worker_chunk(task: tuple) -> dict:
     if store.supports_batched_probes:
         warm_s = _warm_chunk_probes(engine, pairs)
     chase0 = engine.chase_stats.snapshot()
-    transfix0 = engine.transfix_stats.snapshot()
     suggestion = engine.cache_stats
     sugg_hits0 = suggestion.hits if suggestion is not None else 0
     sugg_misses0 = suggestion.misses if suggestion is not None else 0
@@ -639,10 +569,6 @@ def _process_worker_chunk(task: tuple) -> dict:
         "chase": (
             engine.chase_stats.hits - chase0.hits,
             engine.chase_stats.misses - chase0.misses,
-        ),
-        "transfix": (
-            engine.transfix_stats.hits - transfix0.hits,
-            engine.transfix_stats.misses - transfix0.misses,
         ),
         "suggestions": (
             (suggestion.hits - sugg_hits0) if suggestion is not None else 0,
@@ -680,8 +606,8 @@ class BatchRepairEngine:
         Share a Suggest⁺ BDD cache across all sessions (default on: this is
         the batch workload the cache was designed for).
     memoize:
-        Reuse chase / TransFix outcomes across tuples with the same
-        validated pattern (default on).
+        Reuse each round's chase outcome (and the fix read off it) across
+        tuples with the same validated pattern (default on).
     chunk_size:
         How many stream elements to pull per execution chunk.
     executor:
@@ -768,11 +694,6 @@ class BatchRepairEngine:
         self.concurrency = concurrency
         self.mp_start_method = mp_start_method
         self.on_incomplete = on_incomplete
-        # Non-BDD streams get the suggest memo (ROADMAP follow-up): same
-        # validated-pattern key as the chase/TransFix memos, same versioned
-        # invalidation.  With the BDD on, the cursor path serves suggestions
-        # and the memo would be dead weight.
-        engine_options.setdefault("memoize_suggest", memoize and not use_bdd)
         # Provenance records are a handful of tuples per monitored tuple —
         # cheap next to a chase — and the batch report's fixes_by_rule
         # rollup needs them, so the batch engine collects by default.
@@ -937,17 +858,14 @@ class BatchRepairEngine:
         sessions: list = []
         worker_stats: dict = {}
         totals = {
-            "chase": [0, 0], "transfix": [0, 0], "suggestions": [0, 0],
+            "chase": [0, 0], "suggestions": [0, 0],
             "invalidations": 0, "delta_purges": 0, "full_drops": 0,
             "region_rebuilds": 0,
             "warm_s": 0.0,
         }
 
         def hit_rates() -> dict:
-            rates = {
-                "chase": _rate(*totals["chase"]),
-                "transfix": _rate(*totals["transfix"]),
-            }
+            rates = {"chase": _rate(*totals["chase"])}
             if totals["suggestions"][0] or totals["suggestions"][1]:
                 rates["suggest"] = _rate(*totals["suggestions"])
             return rates
@@ -969,7 +887,7 @@ class BatchRepairEngine:
                 result["store_version"],
                 self._worker_versions.get(result["worker"], 0),
             )
-            for name in ("chase", "transfix", "suggestions"):
+            for name in ("chase", "suggestions"):
                 totals[name][0] += result[name][0]
                 totals[name][1] += result[name][1]
             totals["invalidations"] += result["invalidations"]
@@ -980,15 +898,12 @@ class BatchRepairEngine:
             stats = worker_stats.setdefault(result["worker"], {
                 "chunks": 0, "tuples": 0,
                 "chase_hits": 0, "chase_misses": 0,
-                "transfix_hits": 0, "transfix_misses": 0,
                 "suggestion_hits": 0, "suggestion_misses": 0,
             })
             stats["chunks"] += 1
             stats["tuples"] += len(chunk_sessions)
             stats["chase_hits"] += result["chase"][0]
             stats["chase_misses"] += result["chase"][1]
-            stats["transfix_hits"] += result["transfix"][0]
-            stats["transfix_misses"] += result["transfix"][1]
             stats["suggestion_hits"] += result["suggestions"][0]
             stats["suggestion_misses"] += result["suggestions"][1]
             if progress is not None:
@@ -1040,7 +955,6 @@ class BatchRepairEngine:
             worker_stats=worker_stats,
             regions_precomputed=len(engine.regions),
             chase_memo=MemoStats(*totals["chase"]),
-            transfix_memo=MemoStats(*totals["transfix"]),
             suggestion_hits=totals["suggestions"][0],
             suggestion_misses=totals["suggestions"][1],
             cache_invalidations=totals["invalidations"],
@@ -1065,7 +979,6 @@ class BatchRepairEngine:
     def _run_threaded(self, pairs: Iterable, progress=None) -> BatchResult:
         engine = self._engine
         chase_before = engine.chase_stats.snapshot()
-        transfix_before = engine.transfix_stats.snapshot()
         invalidations_before = engine.cache_invalidations
         delta_purges_before = engine.delta_purges
         full_drops_before = engine.full_drops
@@ -1077,9 +990,6 @@ class BatchRepairEngine:
         def hit_rates() -> dict:
             rates = {
                 "chase": engine.chase_stats.delta(chase_before).hit_rate,
-                "transfix": engine.transfix_stats.delta(
-                    transfix_before
-                ).hit_rate,
             }
             sugg = engine.cache_stats
             if sugg is not None:
@@ -1164,7 +1074,6 @@ class BatchRepairEngine:
             worker_stats=worker_stats,
             regions_precomputed=len(engine.regions),
             chase_memo=engine.chase_stats.delta(chase_before),
-            transfix_memo=engine.transfix_stats.delta(transfix_before),
             suggestion_hits=(
                 bdd_after.hits - bdd_hits0 if bdd_after is not None else 0
             ),

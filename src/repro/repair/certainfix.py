@@ -3,9 +3,12 @@
 The interactive driver: pick the highest-quality precomputed certain region
 as the first suggestion; each round, ask the user to assert a suggested
 attribute set, validate that the asserted values lead to a unique fix
-(PTIME — the asserted tuple is a concrete pattern), run TransFix to fix and
-validate everything the rules entail, and compute the next suggestion until
-every attribute of the tuple is validated.
+(PTIME — the asserted tuple is a concrete pattern), fix and validate
+everything the rules entail, and compute the next suggestion until every
+attribute of the tuple is validated.  The Theorem 4 chase that decides
+uniqueness has already applied every enabled rule to the fixpoint every
+fix sequence reaches, so the round's fix is read off that unique chase;
+TransFix (Sect. 5.1) runs only when ``validate_uniqueness`` is off.
 
 ``CertainFix⁺`` is the same driver with the BDD suggestion cache
 (:class:`repro.repair.bdd.SuggestionCache`) replacing fresh Suggest calls.
@@ -13,9 +16,9 @@ every attribute of the tuple is validated.
 Master data is reached exclusively through the
 :class:`~repro.engine.store.MasterStore` seam — the Sect. 5.1 hash table
 behind ``probe`` — so in-memory and out-of-core backends are
-interchangeable.  All derived state (certain regions, the BDD, the suggest
-memo, pattern probes) is stamped with the store version it was computed
-against and rebuilt lazily when the master mutates.
+interchangeable.  All derived state (certain regions, the BDD, pattern
+probes) is stamped with the store version it was computed against and
+rebuilt lazily when the master mutates.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
 from repro.obs import FixProvenance
-from repro.repair.bdd import CacheStats, SuggestionCache
+from repro.repair.bdd import SuggestionCache
 from repro.repair.invalidation import (
     RecordingStore,
     RegionGuard,
@@ -40,7 +43,7 @@ from repro.repair.invalidation import (
 )
 from repro.repair.region_search import comp_c_region
 from repro.repair.suggest import Suggestion, suggest
-from repro.repair.transfix import transfix
+from repro.repair.transfix import TransFixResult, transfix
 
 
 @dataclass
@@ -160,12 +163,6 @@ class CertainFix:
         valid only for the master state they were derived from.
     use_bdd:
         Enable the Suggest⁺ cache — this is CertainFix⁺.
-    memoize_suggest:
-        Cache non-BDD ``suggest()`` results on ``(Z', t[Z'])`` (sound:
-        Suggest is a pure function of the validated pattern for fixed
-        ``(Σ, Dm)``, and the memo is dropped when the store version moves).
-        Hit rates surface through :attr:`cache_stats`.  Ignored during
-        rounds served by the BDD cursor.
     initial_region_rank:
         Which precomputed region to start from (0 = CRHQ; higher ranks give
         the CRMQ comparison of Exp-1(2)).
@@ -189,7 +186,6 @@ class CertainFix:
         schema: RelationSchema,
         regions: list = None,
         use_bdd: bool = False,
-        memoize_suggest: bool = False,
         initial_region_rank: int = 0,
         max_rounds: int = 12,
         max_revisions: int = 3,
@@ -220,13 +216,11 @@ class CertainFix:
             if use_bdd
             else None
         )
-        self._suggest_memo: dict = {} if memoize_suggest else None
-        self._suggest_stats = CacheStats() if memoize_suggest else None
-        # Guards every version-stamped structure (the version stamp itself,
-        # the suggest memo, and subclass memo tables) against the thread
-        # fan-out: teardown happens under the guard, and memo writes are
-        # stamp-checked under it so an outcome computed against an old
-        # master version can never re-poison a freshly cleared cache.
+        # Guards every version-stamped structure (the version stamp itself
+        # and the subclass memo table) against the thread fan-out: teardown
+        # happens under the guard, and memo writes are stamp-checked under
+        # it so an outcome computed against an old master version can never
+        # re-poison a freshly cleared cache.
         # Re-entrant: subclasses extend the teardown within the same hold.
         self._memo_guard = threading.RLock()
         self.cache_invalidations = 0
@@ -292,11 +286,8 @@ class CertainFix:
 
     @property
     def cache_stats(self):
-        """Suggestion-cache accounting: the BDD's when enabled, else the
-        non-BDD suggest memo's, else ``None``."""
-        if self._cache is not None:
-            return self._cache.stats
-        return self._suggest_stats
+        """The Suggest⁺ BDD's hit accounting, or ``None`` without it."""
+        return self._cache.stats if self._cache is not None else None
 
     # -- master-version synchronisation -----------------------------------------
 
@@ -304,10 +295,10 @@ class CertainFix:
         """Reconcile version-stamped state when the master store moved.
 
         Checked on every monitored tuple (an integer compare when nothing
-        changed).  Regions, the Suggest⁺ BDD, the suggest memo and the
-        pattern-probe cache were all computed against a concrete master
-        state; any of them may certify fixes that are no longer certain
-        after an insert/delete/update.  With ``delta_invalidation`` on,
+        changed).  Regions, the Suggest⁺ BDD and the pattern-probe cache
+        were all computed against a concrete master state; any of them may
+        certify fixes that are no longer certain after an
+        insert/delete/update.  With ``delta_invalidation`` on,
         the store's delta journal names the changed rows and
         :meth:`_apply_master_deltas` purges surgically; whenever the
         journal cannot vouch for the gap (``deltas_since`` returns
@@ -346,8 +337,6 @@ class CertainFix:
         self._regions = None
         self._region_guard = None
         self._pattern_cache.clear()
-        if self._suggest_memo is not None:
-            self._suggest_memo.clear()
         if self._cache is not None:
             self._cache.invalidate()
 
@@ -356,10 +345,9 @@ class CertainFix:
 
         Regions survive iff the :class:`RegionGuard` proves a rebuild
         would reproduce them; per-rule pattern caches (the engine's and
-        the BDD's) are patched row by row; the suggest memo is cleared
-        (suggestions embed witness sweeps — retention would not be
-        bit-identical); BDD nodes are retained because ``_valid_for``
-        revalidates every cached suggestion against the live master.
+        the BDD's) are patched row by row; BDD nodes are retained because
+        ``_valid_for`` revalidates every cached suggestion against the live
+        master.
         Subclasses extend this with footprint-indexed memo purges.
         Runs under ``_memo_guard``; a False return means the caller must
         fall back to :meth:`_drop_master_caches`.
@@ -381,8 +369,6 @@ class CertainFix:
             patch_pattern_cache(
                 self._cache._pattern_cache, self.rules, deltas, rows
             )
-        if self._suggest_memo is not None:
-            self._suggest_memo.clear()
         return True
 
     def resync_master(self) -> bool:
@@ -404,8 +390,10 @@ class CertainFix:
 
         Follows Fig. 3: Z' starts empty; each round recommends ``sug``,
         collects the user's assertions, validates them (unique-fix check on
-        the concrete pattern ``t[Z' ∪ S]``), runs TransFix, and either
-        finishes or computes a new suggestion.
+        the concrete pattern ``t[Z' ∪ S]``), applies the fix read off that
+        unique chase, and either finishes or computes a new suggestion.
+        TransFix runs only with ``validate_uniqueness=False``, where no
+        chase has computed the fixpoint.
         """
         self._sync_master_version()
         with obs.time_block("repro_fix_seconds"):
@@ -445,7 +433,8 @@ class CertainFix:
             revisions = 0
 
             if self.validate_uniqueness:
-                while not self._unique(row, validated | asserted):
+                result = self._validated_fix(row, validated | asserted)
+                while result is None:
                     revisions += 1
                     if revisions > self.max_revisions:
                         raise ValidationFailed(
@@ -457,6 +446,12 @@ class CertainFix:
                     )
                     row = row.with_values(values)
                     asserted = asserted | frozenset(values)
+                    result = self._validated_fix(row, validated | asserted)
+            else:
+                result = transfix(
+                    row, validated | asserted, self.rules, self.store,
+                    self.graph,
+                )
 
             # Compare against the row as it stood when the round began, so
             # values changed during revision rounds count as corrections too
@@ -464,8 +459,6 @@ class CertainFix:
             corrected = tuple(
                 sorted(a for a in asserted if row[a] != row_before[a])
             )
-            validated = validated | asserted
-            result = self._transfix(row, validated)
             row = result.row
             validated = result.validated
             provenance = (
@@ -506,21 +499,25 @@ class CertainFix:
         session.validated = validated
         return session
 
-    # -- overridable hot-path hooks (the batch engine memoizes these) ----------
+    # -- overridable hot-path hook (the batch engine memoizes it) -------------
 
-    def _unique(self, row: Row, validated: frozenset) -> bool:
-        outcome = chase(row, validated, self.rules, self._chase_store())
-        return outcome.unique
+    def _validated_fix(
+        self, row: Row, validated: frozenset, store=None
+    ) -> TransFixResult | None:
+        """The round's fix of ``t[Z']``, or ``None`` when it is not unique.
 
-    def _transfix(self, row: Row, validated: frozenset):
-        return transfix(
-            row, validated, self.rules, self._chase_store(), self.graph
+        One Theorem 4 chase decides uniqueness and, when unique, already
+        holds TransFix's fixpoint (:meth:`TransFixResult.from_chase`).
+        *store* overrides the master the chase reads — the batch engine's
+        memo passes a footprint-recording wrapper on its miss path.
+        """
+        outcome = chase(
+            row, validated, self.rules,
+            self.store if store is None else store,
         )
-
-    def _chase_store(self):
-        """The store chase/TransFix read from.  The batch engine's memo
-        subclass swaps in a footprint-recording wrapper on miss paths."""
-        return self.store
+        if not outcome.unique:
+            return None
+        return TransFixResult.from_chase(row, validated, outcome.fired)
 
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.
@@ -547,32 +544,6 @@ class CertainFix:
     def _next_suggestion(self, cursor, row: Row, validated: frozenset) -> Suggestion:
         if cursor is not None:
             return cursor.next_suggestion(row, validated)
-        if self._suggest_memo is None:
-            return self._fresh_suggestion(row, validated)
-        # Suggest is a pure function of the validated pattern (Z', t[Z'])
-        # for fixed (Σ, Dm) — the same argument that makes the batch
-        # engine's chase/TransFix memos sound — so identical dirty shapes
-        # reuse the suggestion outright on non-BDD streams.
-        attrs = tuple(sorted(validated))
-        key = (attrs, row[attrs])
-        stamp = self._master_version
-        cached = self._suggest_memo.get(key)
-        if cached is not None:
-            with self._memo_guard:
-                self._suggest_stats.hits += 1
-            return cached
-        with self._memo_guard:
-            self._suggest_stats.misses += 1
-        suggestion = self._fresh_suggestion(row, validated)
-        with self._memo_guard:
-            # Stamp check: if the master moved while we computed, this
-            # suggestion was certified against deleted/updated tuples and
-            # must not outlive the invalidation that just cleared the memo.
-            if self._master_version == stamp:
-                self._suggest_memo[key] = suggestion
-        return suggestion
-
-    def _fresh_suggestion(self, row: Row, validated: frozenset) -> Suggestion:
         return suggest(
             self.rules,
             self.store,

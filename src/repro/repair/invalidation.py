@@ -1,14 +1,14 @@
 """Delta-aware cache invalidation (the machinery behind surgical purges).
 
 One master mutation used to drop *every* version-stamped cache — regions,
-the Suggest⁺ BDD, chase/TransFix memos, pattern probes — costing 0.6–1.7s
+the Suggest⁺ BDD, the chase memo, pattern probes — costing 0.6–1.7s
 of rebuild per mutation at bench scale.  The :class:`~repro.engine.store`
 delta journal names exactly which rows changed; this module provides the
 consumer-side machinery that turns those deltas into per-key purges:
 
 * :class:`RecordingStore` — a pass-through :class:`MasterStore` wrapper
   that records the *read footprint* of a computation: every keyed probe
-  ``(attrs, key)`` it forwarded.  The chase and TransFix read master data
+  ``(attrs, key)`` it forwarded.  The chase reads master data
   exclusively through keyed probes, so a recorded footprint is the
   complete master dependency set of a memo entry or a pattern check's
   chase work.  ``push_sink``/``pop_sink`` additionally scope footprints

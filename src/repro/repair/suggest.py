@@ -280,8 +280,8 @@ def suggest(
 
     *master* may be any :class:`~repro.engine.store.MasterStore` (or a plain
     relation); the result is a pure function of ``(Z, t[Z])`` for a fixed
-    ``(Σ, Dm)``, which is what makes both the BDD cache and the non-BDD
-    suggest memo of :class:`~repro.repair.certainfix.CertainFix` sound.
+    ``(Σ, Dm)``, which is what makes the BDD cache of
+    :class:`~repro.repair.certainfix.CertainFix` sound.
     """
     master = as_master_store(master)
     z = frozenset(z)

@@ -42,6 +42,29 @@ class TransFixResult:
     applied: list = field(default_factory=list)
     lookups: int = 0
 
+    @classmethod
+    def from_chase(cls, row: Row, validated: Iterable, fired) -> "TransFixResult":
+        """The TransFix result of ``(row, validated)``, read off a unique
+        chase of the same start point instead of recomputed.
+
+        *fired* is the chase's ``(rule, tm, batch)`` applications (or
+        ``(rule, tm)`` pairs already reduced by this method, as the batch
+        memo stores them).  A unique chase ends in the one tuple every
+        maximal fix sequence reaches, so TransFix's sequence ends there
+        too: ``applied`` keeps the first application per attribute in
+        chase order, ``validated`` grows by exactly those attributes, and
+        no master lookups are spent.
+        """
+        first: dict = {}
+        for rule, tm, *_ in fired:
+            first.setdefault(rule.rhs, (rule, tm))
+        fixes = {attr: tm[rule.rhs_m] for attr, (rule, tm) in first.items()}
+        return cls(
+            row=row.with_values(fixes) if fixes else row,
+            validated=frozenset(validated).union(fixes),
+            applied=list(first.values()),
+        )
+
     @property
     def fixed_attrs(self) -> tuple:
         return tuple(rule.rhs for rule, _ in self.applied)

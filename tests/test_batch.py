@@ -90,10 +90,9 @@ def test_memo_hits_on_identical_dirty_shapes(hosp, hosp_dirty):
     batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema)
     result = batch.run_dirty(repeated)
     report = result.report
-    # The second pass re-validates nothing: every chase / TransFix outcome
+    # The second pass re-validates nothing: every round's validated fix
     # comes from the validated-pattern memo.
     assert report.chase_memo.hits >= report.chase_memo.misses
-    assert report.transfix_memo.hits >= report.transfix_memo.misses
     half = len(hosp_dirty)
     for first, second in zip(result.sessions[:half], result.sessions[half:]):
         assert first.final == second.final
@@ -110,6 +109,64 @@ def test_memoized_sessions_equal_unmemoized(hosp, hosp_dirty):
     _assert_sessions_identical(r2.sessions, r1.sessions)
     assert r1.report.chase_memo.lookups == 0
     assert r2.report.chase_memo.lookups > 0
+
+
+def test_one_memo_lookup_per_round_and_revision(hosp, hosp_dirty):
+    """Each round (and each revision) validates its pattern once, and that
+    one memo entry also carries the round's fix."""
+    from repro.core.regions import Region
+    from repro.core.rules import EditingRule
+    from repro.engine.schema import INT, RelationSchema
+    from repro.repair.oracle import LyingUser
+    from repro.repair.region_search import CertainRegionCandidate
+
+    # A lie on b reaches master tuples that disagree on c, so every tuple
+    # needs one revision; repeats hit the memoized non-unique verdict.
+    schema = RelationSchema("R", [(a, INT) for a in "abc"])
+    master = Relation(RelationSchema("Rm", [(a, INT) for a in "wxy"]),
+                      [(1, 5, 7), (2, 5, 8)])
+    rules = [
+        EditingRule(("a",), ("w",), "c", "y", name="r1"),
+        EditingRule(("b",), ("x",), "c", "y", name="r2"),
+    ]
+    region = CertainRegionCandidate(
+        region=Region(("a", "b")), quality=1.0,
+        patterns_checked=1, patterns_valid=1,
+    )
+    clean = Row(schema, [1, 6, 7])
+    runs = [
+        BatchRepairEngine(rules, master, schema, regions=[region],
+                          use_bdd=False)
+        .run([(Row(schema, [1, 5, 0]), LyingUser(clean)) for _ in range(3)]),
+        BatchRepairEngine(hosp.rules, hosp.master, hosp.schema)
+        .run_dirty(list(hosp_dirty) + list(hosp_dirty)),
+    ]
+    for result in runs:
+        report = result.report
+        revisions = sum(
+            r.revisions for session in result.sessions
+            for r in session.rounds
+        )
+        assert report.chase_memo.lookups == report.rounds + revisions
+        assert report.transfix_memo.lookups == 0
+        assert report.chase_memo.hits > 0
+    assert [s.final for s in runs[0].sessions] == [clean] * 3
+    assert runs[0].report.chase_memo.lookups == 6  # 3 rounds + 3 revisions
+
+
+def test_memo_hit_rebuilds_the_result_its_miss_stored(hosp, hosp_dirty):
+    engine = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema).engine
+    validated = frozenset(engine.initial_region.region.attrs)
+    unique = 0
+    for dt in hosp_dirty:
+        row = dt.dirty.with_values({a: dt.clean[a] for a in validated})
+        hits = engine.chase_stats.hits
+        miss = engine._validated_fix(row, validated)
+        hit = engine._validated_fix(row, validated)
+        assert engine.chase_stats.hits == hits + 1
+        assert hit == miss
+        unique += miss is not None
+    assert unique > 0
 
 
 # -- concurrency --------------------------------------------------------------
@@ -297,7 +354,6 @@ def test_reports_are_per_run_deltas(hosp, hosp_dirty):
     # Second run reuses the warmed shared caches but reports only its own
     # lookups; a fully-warmed run is all hits.
     assert second.chase_memo.misses == 0
-    assert second.transfix_memo.misses == 0
     assert second.chase_memo.lookups <= first.chase_memo.lookups
 
 
@@ -340,7 +396,6 @@ def test_thread_worker_stats_populated_at_concurrency_4(hosp, hosp_dirty):
     payload = report.to_dict()
     for stats in payload["worker_stats"].values():
         assert 0.0 <= stats["chase_hit_rate"] <= 1.0
-        assert 0.0 <= stats["transfix_hit_rate"] <= 1.0
         assert "_chunk" not in stats  # internal epoch marker never leaks
 
 

@@ -210,3 +210,33 @@ def test_engine_requires_certain_region():
     )
     with pytest.raises(ValueError, match="no certain region"):
         engine.regions
+
+
+@pytest.mark.parametrize("validate_uniqueness", [True, False])
+def test_transfix_runs_only_without_uniqueness_validation(
+    hosp, monkeypatch, validate_uniqueness
+):
+    """One fixpoint per round: with uniqueness validation on, the round's
+    fix is read off the unique chase and TransFix never runs; with it off,
+    TransFix is the only fixpoint and runs once per round."""
+    import repro.repair.certainfix as certainfix_module
+
+    calls = []
+    original = certainfix_module.transfix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certainfix_module, "transfix", counting)
+    engine = CertainFix(hosp.rules, hosp.master, hosp.schema,
+                        validate_uniqueness=validate_uniqueness)
+    data = make_dirty_dataset(hosp, size=10, duplicate_rate=0.3,
+                              noise_rate=0.3, seed=4)
+    rounds = 0
+    for dirty_tuple in data:
+        session = engine.fix(dirty_tuple.dirty,
+                             SimulatedUser(dirty_tuple.clean))
+        assert session.final == dirty_tuple.clean
+        rounds += session.round_count
+    assert len(calls) == (0 if validate_uniqueness else rounds)

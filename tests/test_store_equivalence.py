@@ -447,70 +447,40 @@ def test_fuzz_backends_stay_identical_under_random_mutations():
     assert list(memory) == list(sqlite)
 
 
-# -- the non-BDD suggest memo (ROADMAP follow-up) -----------------------------
-
-
-def test_suggest_memo_reports_hits_and_preserves_sessions(hosp, hosp_dirty):
-    plain = CertainFix(hosp.rules, hosp.master, hosp.schema, use_bdd=False)
-    memo = CertainFix(hosp.rules, hosp.master, hosp.schema, use_bdd=False,
-                      memoize_suggest=True)
-    assert plain.cache_stats is None
-    repeated = _pairs(hosp_dirty) + _pairs(hosp_dirty)
-    sessions_plain = plain.fix_stream(repeated)
-    sessions_memo = memo.fix_stream(repeated)
-    _assert_sessions_identical(sessions_memo, sessions_plain)
-    stats = memo.cache_stats
-    assert stats is not None
-    # the second pass re-suggests nothing (multi-round shapes repeat)
-    assert stats.hits + stats.misses > 0
-    multi_round = sum(1 for s in sessions_plain if s.round_count > 1)
-    if multi_round:
-        assert stats.hits > 0
-
-
-def test_batch_non_bdd_reports_suggestion_cache(hosp, hosp_dirty):
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              use_bdd=False)
-    repeated = list(hosp_dirty) + list(hosp_dirty)
-    report = batch.run_dirty(repeated).report
-    payload = report.to_dict()
-    assert payload["suggestion_cache"]["hits"] + \
-        payload["suggestion_cache"]["misses"] >= 0
-    # the engine exposes the memo through the same cache_stats surface the
-    # BDD uses
-    assert batch.engine.cache_stats is not None
+# -- memo stamp checks and suggestion invalidation ----------------------------
 
 
 def test_stale_memo_write_rejected_after_concurrent_teardown(monkeypatch):
-    """The thread-fan-out race: a worker computes a chase outcome against
-    version N; the master mutates and another worker performs the version
-    teardown before the first worker's memo write lands.  The stamp check
-    must drop the stale write instead of re-poisoning the cleared memo."""
+    """The thread-fan-out race: a worker computes a round's validated fix
+    against version N; the master mutates and another worker performs the
+    version teardown before the first worker's memo write lands.  The
+    stamp check must drop the stale write instead of re-poisoning the
+    cleared memo."""
     schema, rules, rows = _tiny_bundle()
     store = InMemoryStore(Relation(schema, rows))
     batch = BatchRepairEngine(rules, store, schema, use_bdd=False)
     engine = batch.engine
 
-    original = CertainFix._unique
+    original = CertainFix._validated_fix
 
-    def mutate_mid_compute(self, row, validated):
-        outcome = original(self, row, validated)
+    def mutate_mid_compute(self, row, validated, store_=None):
+        result = original(self, row, validated, store_)
         store.insert(Row(schema, ("k9", "v9")))
         self._sync_master_version()  # the "other worker's" teardown
-        return outcome
+        return result
 
-    monkeypatch.setattr(CertainFix, "_unique", mutate_mid_compute)
+    monkeypatch.setattr(CertainFix, "_validated_fix", mutate_mid_compute)
     row = Row(schema, ("k1", "v1"))
     validated = frozenset({"key", "val"})
-    engine._unique(row, validated)
+    assert engine._validated_fix(row, validated) is not None
     assert engine._memo_key(row, validated) not in engine._chase_memo
+    assert len(engine._chase_footprints) == 0
 
 
 def test_suggest_memo_invalidated_by_master_mutation():
     schema, rules, rows = _tiny_bundle()
     store = InMemoryStore(Relation(schema, rows))
-    engine = CertainFix(rules, store, schema, use_bdd=False,
-                        memoize_suggest=True)
+    engine = CertainFix(rules, store, schema, use_bdd=False)
     dirty = Row(schema, ("k2", "wrong"))
     clean = Row(schema, ("k2", "v2"))
     engine.fix(dirty, SimulatedUser(clean))
