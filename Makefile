@@ -73,13 +73,16 @@ certify:
 conformance:
 	$(PYTHON) -m pytest tests/test_store_conformance.py -q
 
-# The round's fix is read off the unique chase instead of a TransFix rerun:
-# the chase-vs-TransFix differential test plus the chase's cross-checks
-# against exhaustive order exploration.  A subset of `test`, named so a
-# chase/TransFix divergence is attributable on its own line (CI step).
+# The round's fix is read off the unique chase instead of a TransFix rerun,
+# and the chase decides conflicts on each read's distinct master values:
+# the chase-vs-TransFix differential test, the value-level fan-out
+# properties (many rows per key, master guards, list vs tuple stores) and
+# the chase's cross-checks against exhaustive order exploration.  A subset
+# of `test`, named so a divergence is attributable on its own line (CI step).
 differential:
 	$(PYTHON) -m pytest tests/test_chase_transfix_differential.py \
-		tests/test_chase_explorer.py tests/test_property_based.py -q
+		tests/test_chase_fanout.py tests/test_chase_explorer.py \
+		tests/test_property_based.py -q
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and
 # fails if the batch engine loses its >=2x margin over naive fix_stream.

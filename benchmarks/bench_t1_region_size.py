@@ -2,7 +2,7 @@
 
 Paper's table: HOSP 2 vs 4, DBLP 5 vs 9.  Reproduced: HOSP 2 vs 4 exactly;
 DBLP CompCRegion = 5 exactly, GRegion ≥ 5 (the paper's exact greedy is
-unspecified; see DESIGN.md §4.4).
+unspecified, so its tie-breaking cannot be matched).
 """
 
 from benchmarks.conftest import BENCH_DBLP, BENCH_HOSP, emit

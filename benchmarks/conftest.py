@@ -1,6 +1,6 @@
 """Shared benchmark configuration.
 
-Benchmark scale (DESIGN.md §5): the paper's defaults (d% = 30, |Dm| = 10K,
+Benchmark scale: the paper's defaults (d% = 30, |Dm| = 10K,
 n% = 20, C++ implementation) are scaled to |Dm| ≈ 1.5K and |D| ≈ 200 so the
 whole harness regenerates every table and figure in minutes of pure Python.
 All sweeps keep the paper's relative parameter spans; every bench asserts

@@ -168,7 +168,7 @@ def write_experiments_md(sections, hosp, dblp, elapsed, quick):
         "per configuration"
         + (" (QUICK mode)" if quick else "") + ".",
         "- Defaults follow the paper: d% = 30, n% = 20; sweeps span the",
-        "  paper's relative ranges (scaled absolute sizes, DESIGN.md §5).",
+        "  paper's relative ranges (scaled absolute sizes).",
         "- User feedback simulated with ground-truth oracles, as in the paper.",
         "- Absolute latencies are pure-Python; the paper used C++.  Only",
         "  *shapes* (who wins, what grows, where curves flatten) are claimed.",

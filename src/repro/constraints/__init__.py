@@ -10,7 +10,8 @@ against ``IncRep``, the CFD-based heuristic repair algorithm of Cong et al.
   variable, plus violation detection;
 * :mod:`repro.constraints.distance` — edit distance and the cost model;
 * :mod:`repro.constraints.increp` — the cost-based value-modification
-  repair (reconstruction documented in DESIGN.md §4.5).
+  repair, reconstructed for per-tuple repair against master data (the
+  paper only cites [14]; see that module for what is kept and why).
 """
 
 from repro.constraints.cfd import CFD, cfds_from_rules, tuple_violations

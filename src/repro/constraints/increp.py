@@ -4,7 +4,8 @@ The paper's Exp-1(7) compares CertainFix against IncRep, "a heuristic method
 to make D consistent, i.e., finds a repair D' that satisfies the constraints
 and 'minimally' differs from D", using a cost metric over attribute weights
 and value distances.  This module reconstructs the algorithm's core for the
-monitoring setting (per-tuple repair against master data; DESIGN.md §4.5):
+monitoring setting, where each input tuple is repaired on its own against
+master data:
 
 * **violation detection** — for each editing-rule-derived dependency, a
   tuple is in violation when it exactly matches a master tuple's key but

@@ -9,12 +9,12 @@ reach all of ``R`` (Sect. 3).
 :func:`chase` decides unique-fix existence for one concrete start point.  It
 follows the PTIME algorithm inside the proof of Theorem 4 — apply all enabled
 rule/master pairs in batches, detect same-batch conflicts (step (e)) and
-late-arriving conflicts (step (g)) — with one strengthening documented in
-DESIGN.md §4.1: the paper's one-level ``dep()`` test for step (g) is replaced
-by an exact reachability check ("is the conflicting rule's premise derivable
-*without* its target attribute?") over the hypergraph of all same-value
-derivations.  :mod:`repro.analysis.chase` cross-validates this against an
-exhaustive order-exploring chase on small instances.
+late-arriving conflicts (step (g)) — with one strengthening: the paper's
+one-level ``dep()`` test for step (g) is replaced by an exact reachability
+check ("is the conflicting rule's premise derivable *without* its target
+attribute?") over the hypergraph of all same-value derivations.
+:mod:`repro.analysis.chase` cross-validates this against an exhaustive
+order-exploring chase on small instances.
 """
 
 from __future__ import annotations
@@ -62,8 +62,13 @@ class ChaseOutcome:
     ``covered`` — the paper's "attributes covered by (Z, Tc, Σ, Dm)";
     ``zb`` — the initial (user-validated) Z;
     ``conflict`` — the divergence witness when ``unique`` is False;
-    ``fired`` — the (rule, master_row, batch) applications of the canonical
-    batched run, in order.
+    ``applications`` — the canonical batched run, compactly: one
+    ``(rule, rows, batch)`` per applied rule, in order, where ``rows`` is
+    the tuple of guard-passing master rows the rule read (a tuple whatever
+    the store returned, so outcomes compare equal across backends);
+    ``fired`` — the same run expanded to one ``(rule, master_row, batch)``
+    per guard-passing row, in order (built on access, for provenance and
+    tests; :meth:`first_fired` is the per-rule view a fix needs).
     """
 
     unique: bool
@@ -71,8 +76,27 @@ class ChaseOutcome:
     covered: frozenset
     zb: frozenset
     conflict: Conflict = None
-    fired: list = field(default_factory=list)
+    applications: list = field(default_factory=list)
     batches: int = 0
+
+    @property
+    def fired(self) -> list:
+        return [
+            (rule, tm, batch)
+            for rule, rows, batch in self.applications
+            for tm in rows
+        ]
+
+    def first_fired(self) -> Iterator:
+        """``(rule, first master row, batch)`` per applied rule, in order.
+
+        Every row of one application carries the same ``Bm`` value (two
+        distinct values would be a same-batch conflict), so this is all
+        :meth:`TransFixResult.from_chase
+        <repro.repair.transfix.TransFixResult.from_chase>` reads.
+        """
+        for rule, rows, batch in self.applications:
+            yield rule, rows[0], batch
 
     def is_certain(self, schema) -> bool:
         """Certain fix: unique and the covered set reaches all of R."""
@@ -146,6 +170,30 @@ def applicable_pairs(
                 yield rule, tm
 
 
+def _distinct_values(rule, rows) -> tuple:
+    """One walk over a rule's master rows: ``(kept, first)``.
+
+    ``kept`` is the tuple of rows passing ``rule.master_guard``, in row
+    order; ``first`` maps each distinct ``Bm`` value among them to the first
+    row carrying it, in order of first appearance.  Values are read
+    positionally and the guard call is skipped when the guard is empty.
+    """
+    if not rows:
+        return (), {}
+    pos = rows[0].schema.index_of(rule.rhs_m)
+    if len(rule.master_guard):
+        matches = rule.master_guard.matches
+        rows = tuple(tm for tm in rows if matches(tm))
+    elif type(rows) is not tuple:
+        rows = tuple(rows)
+    first: dict = {}
+    for tm in rows:
+        value = tm.values[pos]
+        if value not in first:
+            first[value] = tm
+    return rows, first
+
+
 def _derivable_without(
     target: str,
     premises_needed: frozenset,
@@ -203,8 +251,15 @@ def chase(
     targets included — and reads all their keys with one
     :meth:`~repro.engine.store.MasterStore.probe_batch` call (a remote
     store sends that step's cache misses in one request).  Each distinct
-    ``(Xm, key)`` is read at most once per chase, and the step (g)
-    post-pass reuses the kept rows in Σ order without probing again.
+    ``(Xm, key)`` is read at most once per chase.  In the step a rule is
+    examined, one positional walk over its read keeps the guard-passing
+    rows and their distinct ``Bm`` values (first row per value, row order).
+    Both conflict tests only compare values, so step (e) and the step (g)
+    post-pass iterate those distinct values — almost always one — rather
+    than the rows, and the post-pass reuses them in Σ order without
+    probing again.  Values that compare equal are one value (``1`` and
+    ``1.0`` do not conflict); the first in row order is the one assigned,
+    as :meth:`ChaseOutcome.first_fired` reports it.
     """
     master = as_master_store(master)
     rules = list(rules)
@@ -218,15 +273,16 @@ def chase(
         assignment.setdefault(a, UNKNOWN)
 
     validated = set(zb)
-    fired: list = []
+    applications: list = []
     batches = 0
     # A rule is examined once, in the step its premise becomes validated:
     # master data is fixed and validated values never change, so its
-    # pattern verdict, key and master rows are final.  ``rows_of`` keeps
-    # the rows (None: pattern mismatch or unknown key) for step (g), and
-    # ``read`` makes every (attrs, key) one read per chase.
+    # pattern verdict, key and master rows are final.  ``kept`` holds its
+    # guard-passing rows and their distinct Bm values (None: pattern
+    # mismatch or unknown key) for step (g), and ``read`` makes every
+    # (attrs, key) one read per chase.
     examined = [False] * len(rules)
-    rows_of: list = [None] * len(rules)
+    kept: list = [None] * len(rules)
     read: dict = {}
 
     while True:
@@ -253,14 +309,12 @@ def chase(
         culprit: dict = {}
         for i, line in step:
             rule = rules[i]
-            matches = rows_of[i] = read[line]
-            if rule.rhs in validated:
-                continue  # protected target; step (g) re-examines it
-            for tm in matches:
-                if not rule.master_guard.matches(tm):
-                    continue
-                value = tm[rule.rhs_m]
-                if rule.rhs in new_values and new_values[rule.rhs] != value:
+            rows, first = kept[i] = _distinct_values(rule, read[line])
+            if not rows or rule.rhs in validated:
+                continue  # nothing to apply, or a protected target (step (g))
+            attr = rule.rhs
+            for value in first:
+                if attr in new_values and new_values[attr] != value:
                     return ChaseOutcome(
                         unique=False,
                         assignment=assignment,
@@ -268,21 +322,21 @@ def chase(
                         zb=zb,
                         conflict=Conflict(
                             kind="same-batch",
-                            attr=rule.rhs,
-                            values=(new_values[rule.rhs], value),
-                            rules=(culprit[rule.rhs], rule),
+                            attr=attr,
+                            values=(new_values[attr], value),
+                            rules=(culprit[attr], rule),
                         ),
-                        fired=fired,
+                        applications=applications,
                         batches=batches,
                     )
-                new_values[rule.rhs] = value
-                culprit[rule.rhs] = rule
-                batch.append((rule, tm))
+                new_values.setdefault(attr, value)
+                culprit[attr] = rule
+            batch.append((rule, rows))
         if not batch:
             break
         batches += 1
-        for rule, tm in batch:
-            fired.append((rule, tm, batches))
+        for rule, rows in batch:
+            applications.append((rule, rows, batches))
         for attr, value in new_values.items():
             assignment[attr] = value
             validated.add(attr)
@@ -292,18 +346,17 @@ def chase(
     # rows, since every rule with a validated premise was examined.
     # Same-value pairs contribute derivation edges; different-value pairs
     # are conflicts iff their premise is derivable without their own
-    # target.
+    # target.  Only values matter, so each rule contributes its distinct
+    # values: at most one edge and one candidate per other value.
     edges: list = []
     candidates: list = []
     covered = frozenset(validated)
-    for rule, matches in zip(rules, rows_of):
-        if matches is None:
+    for rule, entry in zip(rules, kept):
+        if entry is None:
             continue
-        for tm in matches:
-            if not rule.master_guard.matches(tm):
-                continue
-            value = tm[rule.rhs_m]
-            if value == assignment[rule.rhs]:
+        current = assignment[rule.rhs]
+        for value in entry[1]:
+            if value == current:
                 edges.append((rule.premise_attrs, rule.rhs))
             elif rule.rhs not in zb:
                 candidates.append((rule, value))
@@ -320,7 +373,7 @@ def chase(
                     values=(assignment[rule.rhs], value),
                     rules=(rule,),
                 ),
-                fired=fired,
+                applications=applications,
                 batches=batches,
             )
 
@@ -329,7 +382,7 @@ def chase(
         assignment=assignment,
         covered=covered,
         zb=zb,
-        fired=fired,
+        applications=applications,
         batches=batches,
     )
 

@@ -4,8 +4,9 @@ The paper uses two real-life corpora: HOSP (US Hospital Compare, three
 tables natural-joined into a 19-attribute relation) and DBLP (a 12-attribute
 join of inproceedings, proceedings and homepages).  Neither is fetchable
 offline, so deterministic generators reproduce the schemas, rule sets, key
-structure and join construction (DESIGN.md §5 documents why this preserves
-every measured behaviour).
+structure and join construction.  Every measured behaviour (regions, rounds,
+fix rates) depends only on those and on the master's key cardinalities, not
+on the real strings.
 
 * :mod:`repro.datasets.running_example` — Fig. 1's supplier/master example.
 * :mod:`repro.datasets.hosp` — the 19-attribute HOSP dataset with 21 eRs.

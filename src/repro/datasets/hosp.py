@@ -16,7 +16,8 @@ The 21 rules include the five published ones verbatim
 Score``, ``id → hName``) and complete the set so that the paper's region
 structure is reproduced: the optimal certain region is
 ``Z = (id, mCode)`` of size 2 while the greedy baseline needs 4 (Exp-1(1)).
-``nil`` pattern guards are modelled as ``≠ NULL`` (DESIGN.md §4.6).
+``nil`` pattern guards (the paper's "the attribute is not missing") are
+modelled as ``≠ NULL``.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class RelationSchema:
     master schema is ``Rm``; both are plain :class:`RelationSchema` values.
     """
 
-    __slots__ = ("name", "_attributes", "_positions")
+    __slots__ = ("name", "_attributes", "_names", "_positions")
 
     def __init__(self, name: str, attributes: Iterable):
         attrs = []
@@ -91,7 +91,8 @@ class RelationSchema:
                 attrs.append(Attribute(attr_name, domain))
         self.name = name
         self._attributes = tuple(attrs)
-        self._positions = {a.name: i for i, a in enumerate(self._attributes)}
+        self._names = tuple(a.name for a in self._attributes)
+        self._positions = {n: i for i, n in enumerate(self._names)}
         if len(self._positions) != len(self._attributes):
             raise ValueError(f"schema {name!r} has duplicate attribute names")
 
@@ -100,7 +101,7 @@ class RelationSchema:
     @property
     def attributes(self) -> tuple:
         """Attribute names, in schema order."""
-        return tuple(a.name for a in self._attributes)
+        return self._names
 
     @property
     def attribute_objects(self) -> tuple:
@@ -110,7 +111,7 @@ class RelationSchema:
         return len(self._attributes)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.attributes)
+        return iter(self._names)
 
     def __contains__(self, attr_name: str) -> bool:
         return attr_name in self._positions

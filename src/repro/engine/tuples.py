@@ -122,10 +122,12 @@ class Row:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Row):
             return NotImplemented
+        # Schemas are immutable, so a shared schema object (every row of one
+        # relation) skips the name-tuple comparison.
         return (
-            self.schema.attributes == other.schema.attributes
-            and self._values == other._values
-        )
+            self.schema is other.schema
+            or self.schema.attributes == other.schema.attributes
+        ) and self._values == other._values
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -7,8 +7,7 @@ benchmark harnesses (``benchmarks/``) print in the paper's format and that
 Scaling note: the paper's defaults are ``d% = 30``, ``|Dm| = 10K``,
 ``n% = 20``, with up to 10M input tuples on a C++ implementation.  The
 drivers keep the same parameter *spans* but scale sizes to laptop-Python
-budgets (DESIGN.md §5); every claim checked is about curve shapes, not
-absolute numbers.
+budgets; every claim checked is about curve shapes, not absolute numbers.
 """
 
 from repro.experiments.config import DEFAULTS, ExperimentConfig, load_dataset

@@ -517,7 +517,7 @@ class CertainFix:
         )
         if not outcome.unique:
             return None
-        return TransFixResult.from_chase(row, validated, outcome.fired)
+        return TransFixResult.from_chase(row, validated, outcome.first_fired())
 
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.

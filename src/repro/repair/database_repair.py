@@ -89,12 +89,12 @@ def repair_database(
             if not outcome.unique:
                 saw_conflict = True
                 continue
-            if outcome.fired:
+            if outcome.applications:
                 saw_evidence = True
             if outcome.covered >= all_attrs:
                 certain_z = z
                 break
-            if len(outcome.covered) > partial_covered and outcome.fired:
+            if len(outcome.covered) > partial_covered and outcome.applications:
                 partial_z = z
                 partial_covered = len(outcome.covered)
 

@@ -4,7 +4,7 @@ The paper derives its initial suggestions from certain regions computed by
 the heuristic ``CompCRegion`` of the companion paper [20] (not included in
 the provided text) and compares against a greedy baseline ``GRegion``
 ("at each stage, choose an attribute which may fix the largest number of
-uncovered attributes").  DESIGN.md §4.3–4.4 documents the reconstruction:
+uncovered attributes").  The reconstruction:
 
 * **CompCRegion**: candidate ``Z`` sets grow from the mandatory attributes
   (those no rule can fix) ordered by attribute-closure coverage; a candidate
