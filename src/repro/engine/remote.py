@@ -8,15 +8,16 @@ sources this way — see PAPERS.md).  This module makes that deployment real
 over the :class:`~repro.engine.store.MasterStore` seam, pure stdlib:
 
 * :class:`MasterServer` exposes *any* existing store (memory or sqlite)
-  over HTTP/JSON — ``/probe``, ``/probe_many``, ``/active_values``,
-  ``/rows``, ``/version`` plus versioned ``/insert`` / ``/delete`` /
-  ``/update`` — via ``python -m repro serve-master``;
+  over HTTP/JSON — ``/probe_many``, ``/active_values``, ``/rows``,
+  ``/version`` plus versioned ``/insert`` / ``/delete`` / ``/update`` —
+  via ``python -m repro serve-master``;
 * :class:`RemoteStore` implements the full ``MasterStore`` ABC as a
   read-through client: an LRU probe cache stamped with the server's
-  version, batched ``probe_batch`` / ``probe_many`` (every cache miss of
-  one call in a single ``/probe_many`` request) to amortize round-trips,
-  and ``detach()`` / ``reattach()`` so process-pool workers each open
-  their own connection.
+  version, one keyed read ``probe_batch`` (every cache miss of one call in
+  a single ``/probe_many`` request; ``probe``, ``probe_ref`` and
+  ``probe_many`` derive from it) to amortize round-trips, and
+  ``detach()`` / ``reattach()`` so process-pool workers each open their
+  own connection.
 
 **Invalidation** piggybacks on every request: each server response carries
 an ``X-Master-Version`` header, and the moment the client observes a newer
@@ -80,6 +81,7 @@ from repro.engine.store import (
     StoreUnavailableError,
     _decode,
     _encode,
+    _probe_pair,
     _ProbeLRU,
 )
 from repro.engine.tuples import Row
@@ -100,13 +102,11 @@ def _encode_values(values: Iterable) -> list:
 def _wire_key(key: tuple):
     """Encode a probe key for the wire, or ``None`` when unstorable.
 
-    The single chokepoint for the unstorable-key rule on *both* probe
-    paths (singular and batched): a key holding a value the codec
-    refuses (an engine-internal placeholder, say) can never equal a
-    stored master cell, so it resolves to "no match" locally — and must
-    never enter the LRU, because no server ever vouched for the verdict.
-    Keeping the rule in one helper is what stops the two paths from
-    drifting apart again.
+    The unstorable-key rule of the client's one probe path: a key
+    holding a value the codec refuses (an engine-internal placeholder,
+    say) can never equal a stored master cell, so it resolves to "no
+    match" locally — and must never enter the LRU, because no server
+    ever vouched for the verdict.
     """
     try:
         return _encode_values(key)
@@ -410,7 +410,6 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         self._dispatch({
-            "/probe": self._post_probe,
             "/probe_many": self._post_probe_many,
             "/active_values": self._post_active_values,
             "/ensure_index": self._post_ensure_index,
@@ -425,50 +424,34 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
     def _row_from(self, cells: list) -> Row:
         return _decode_row(self.server.store.schema, cells)
 
-    def _post_probe(self, query, payload) -> dict:
-        rows = self.server.store.probe(
-            tuple(payload["attrs"]), self._decode_key(payload["key"])
-        )
-        return {"rows": [_encode_values(r.values) for r in rows]}
-
     def _post_probe_many(self, query, payload) -> dict:
         """``POST /probe_many``: ``{"probes": [[attrs, key], ...]}``.
 
-        Attribute lists may differ per pair; the backing store's
-        ``probe_many`` runs once per distinct list, and the reply lists
-        one result per pair in request order.
+        Attribute lists may differ per pair; the backing store answers
+        them with one ``probe_batch``, and the reply lists one result per
+        pair in request order.
         """
         probes = [
             (tuple(attrs), self._decode_key(key))
             for attrs, key in payload["probes"]
         ]
-        groups: dict = {}
-        for attrs, key in probes:
-            groups.setdefault(attrs, []).append(key)
         store = self.server.store
-        answers: dict = {}
-        for attrs, keys in groups.items():
-            out = store.probe_many(attrs, keys)
-            # Strict accounting before anything goes on the wire: the
-            # backing store must answer exactly the requested key set — a
-            # lying store fails the exchange loudly (HTTP 500) instead of
-            # shipping a response the client would have to zip-truncate.
-            missing = [key for key in keys if key not in out]
-            if missing:
-                raise StoreProtocolError(
-                    f"backing {type(store).__name__}.probe_many answered "
-                    f"{len(out)} keys for {len(set(keys))} requested "
-                    f"({len(missing)} unanswered, e.g. {missing[0]!r}); "
-                    f"refusing to serve a truncated /probe_many response"
-                )
-            answers[attrs] = out
+        results = store.probe_batch(probes)
+        # Strict accounting before anything goes on the wire: a lying
+        # backing store fails the exchange loudly (HTTP 500) instead of
+        # shipping a response the client would have to zip-truncate.
+        if len(results) != len(probes):
+            raise StoreProtocolError(
+                f"backing {type(store).__name__}.probe_batch answered "
+                f"{len(results)} results for {len(probes)} probes; "
+                f"refusing to serve a truncated /probe_many response"
+            )
         # The count echo lets clients cross-check the pairing even when a
         # middlebox rewrites the results array length.
         return {
             "count": len(probes),
             "results": [
-                [_encode_values(r.values) for r in answers[attrs][key]]
-                for attrs, key in probes
+                [_encode_values(r.values) for r in rows] for rows in results
             ],
         }
 
@@ -600,9 +583,10 @@ class RemoteStore(MasterStore):
     server-side mutation invalidates this client exactly like a local
     mutation invalidates the in-process backends.
 
-    ``probe_batch`` (the chase's one read per step) and ``probe_many``
-    share one miss path: LRU hits are answered locally and every miss of
-    the call, over any mix of attribute lists, crosses in one
+    Every keyed read goes through ``probe_batch`` (the chase's one read
+    per step; a single ``probe`` is a one-pair batch), so there is one
+    miss path: LRU hits are answered locally and every miss of the call,
+    over any mix of attribute lists, crosses in one
     ``POST /probe_many`` with body ``{"probes": [[attrs, key], ...]}``
     (keys in the wire codec; unstorable keys resolve to "no match"
     locally and never travel or cache).  The reply is
@@ -1005,106 +989,38 @@ class RemoteStore(MasterStore):
         self._request("POST", "/ensure_index",
                       {"attrs": list(tuple(attrs))})
 
-    def _check_key(self, attrs: tuple, key) -> tuple:
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
-        return key
-
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # Cache hits and round-trips share one span: the latency
-        # distribution is supposed to show the hit/miss mix.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="remote", op="probe"
-        ):
-            return self._probe_impl(attrs, key)
-
-    def probe_ref(self, attrs: Iterable, key) -> tuple:
-        self.probe_ref_calls += 1
-        return self.probe(attrs, key)
-
-    def _probe_impl(self, attrs: Iterable, key) -> tuple:
-        attrs = tuple(attrs)
-        key = self._check_key(attrs, key)
-        cache_key = (attrs, key)
-        with self._cache_lock:
-            cached = self._probe_cache.get(cache_key)
-            if cached is not None:
-                return cached
-        encoded = _wire_key(key)
-        if encoded is None:
-            return ()  # unstorable value matches nothing; never cached
-        payload, observed = self._request(
-            "POST", "/probe", {"attrs": list(attrs), "key": encoded}
-        )
-        result = tuple(
-            _decode_row(self._schema, cells) for cells in payload["rows"]
-        )
-        self._cache_probe([(cache_key, result)], observed)
-        return result
-
-    def _cache_probe(self, lines, observed: int) -> None:
-        """Insert ``(cache_key, result)`` LRU lines, but only under the
-        stamp they were read at — a concurrent observation of a newer
-        version means the results may be stale and must not outlive the
-        invalidation that just happened."""
-        with self._cache_lock:
-            if self._version == observed:
-                for cache_key, result in lines:
-                    self._probe_cache.put(cache_key, result)
-
-    def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe over one attribute list (see :meth:`probe_batch`).
-
-        Semantically a :meth:`probe` loop (results land in the LRU too —
-        the batch engine's chunk warm-up is exactly this); the cache
-        misses travel in one ``/probe_many`` request.
-        """
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="remote", op="many"
-        ):
-            attrs = tuple(attrs)
-            keys = [self._check_key(attrs, key) for key in keys]
-            results = self._probe_pairs([(attrs, key) for key in keys])
-            return dict(zip(keys, results))
-
     def probe_batch(self, probes: Iterable) -> list:
         """LRU hits served locally; every miss in one ``/probe_many``."""
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="remote", op="batch"
-        ):
-            pairs = []
-            for attrs, key in probes:
-                attrs = tuple(attrs)
-                pairs.append((attrs, self._check_key(attrs, key)))
-            self.probe_ref_calls += len(pairs)
-            return self._probe_pairs(pairs)
-
-    def _probe_pairs(self, pairs: list) -> list:
-        """Resolve checked ``(attrs, key)`` pairs, in order: the one wire
-        path of both batched probes."""
-        results: list = [None] * len(pairs)
-        pending: dict = {}  # (attrs, key) -> (encoded key, result slots)
-        with self._cache_lock:
-            for slot, line in enumerate(pairs):
-                waiting = pending.get(line)
-                if waiting is not None:
-                    waiting[1].append(slot)
-                    continue
-                cached = self._probe_cache.get(line)
-                if cached is not None:
-                    results[slot] = cached
-                    continue
-                encoded = _wire_key(line[1])
-                if encoded is None:
-                    # Unstorable key matches nothing; never cached.
-                    results[slot] = ()
-                    continue
-                pending[line] = (encoded, [slot])
-        if not pending:
+        # Cache hits and round-trips share one span: the latency
+        # distribution is supposed to show the hit/miss mix.
+        with obs.time_block("repro_store_probe_seconds", backend="remote"):
+            results: list = []
+            pending: dict = {}  # (attrs, key) -> (encoded key, result slots)
+            with self._cache_lock:
+                for attrs, key in probes:
+                    line = _probe_pair(attrs, key)
+                    cached = self._probe_cache.get(line)
+                    if cached is None:
+                        # A miss is filled in from the reply; an
+                        # unstorable key matches nothing and is never
+                        # cached.
+                        waiting = pending.get(line)
+                        if waiting is not None:
+                            waiting[1].append(len(results))
+                        else:
+                            encoded = _wire_key(line[1])
+                            if encoded is not None:
+                                pending[line] = (encoded, [len(results)])
+                        cached = ()
+                    results.append(cached)
+                self.probe_ref_calls += len(results)
+            if pending:
+                self._fetch(pending, results)
             return results
+
+    def _fetch(self, pending: dict, results: list) -> None:
+        """Read the ``(attrs, key) -> (encoded key, slots)`` misses in one
+        ``/probe_many`` into their result slots and the LRU."""
         payload, observed = self._request(
             "POST", "/probe_many",
             {"probes": [
@@ -1135,8 +1051,13 @@ class RemoteStore(MasterStore):
             resolved.append((line, rows))
             for slot in slots:
                 results[slot] = rows
-        self._cache_probe(resolved, observed)
-        return results
+        # Cache only under the stamp the rows were read at: a concurrent
+        # observation of a newer version means they may be stale and must
+        # not outlive the invalidation that just happened.
+        with self._cache_lock:
+            if self._version == observed:
+                for line, rows in resolved:
+                    self._probe_cache.put(line, rows)
 
     def active_values(self, attr: str) -> set:
         self._schema.index_of(attr)  # KeyError for foreign attrs, as local

@@ -4,9 +4,9 @@ Every certain-fix guarantee in the paper flows from probes against the
 master relation ``Dm``: Sect. 5.1 argues TransFix's complexity by noting
 "it takes constant time to check whether there exists a master tuple that
 is applicable to t with an eR, by using a hash table that stores tm[Xm] as
-a key".  :meth:`MasterStore.probe` is that hash-table lookup lifted to an
-interface, so the repair layer no longer assumes masters are in-memory
-:class:`~repro.engine.relation.Relation` objects:
+a key".  :meth:`MasterStore.probe_batch` is that hash-table lookup lifted
+to an interface (many keys per call), so the repair layer no longer assumes
+masters are in-memory :class:`~repro.engine.relation.Relation` objects:
 
 * :class:`InMemoryStore` wraps the existing ``Relation`` + cached
   :class:`~repro.engine.index.HashIndex` machinery (the paper's setting);
@@ -115,9 +115,9 @@ class StoreProtocolError(StoreError):
     """A backend answered, but the answer violates the store protocol.
 
     Raised when a response cannot be reconciled with the request that
-    produced it — e.g. a ``probe_many`` reply carrying fewer (or more)
-    result lists than probe keys sent, or results keyed on keys that were
-    never asked for.  A short reply used to be silently ``zip``-truncated
+    produced it — e.g. a ``/probe_many`` reply (or a backing store's
+    ``probe_batch``) carrying fewer or more result lists than probe keys
+    sent.  A short reply used to be silently ``zip``-truncated
     and the missing keys resolved (and cached!) as "no match", corrupting
     fixes; the typed error makes the lying backend loud instead, and
     nothing from such a response may land in any cache.  The message
@@ -236,16 +236,32 @@ def _pending_deltas(deltas, current: int, version: int):
     return pending
 
 
+def _probe_pair(attrs: Iterable, key) -> tuple:
+    """``(attrs, key)`` as tuples; ``ValueError`` when their lengths differ.
+
+    The probe-key arity check of every backend's keyed read.
+    """
+    attrs = tuple(attrs)
+    key = tuple(key)
+    if len(attrs) != len(key):
+        raise ValueError(
+            f"probe key {key} does not match attribute list {attrs}"
+        )
+    return attrs, key
+
+
 class MasterStore(ABC):
     """Abstract master-data backend.
 
     The read API mirrors how the repair layer touches ``Dm``: keyed probes
-    (:meth:`probe`, :meth:`contains_key`), full iteration (region search and
-    witness sweeps), size, and per-column active values.  The write API
-    (:meth:`insert` / :meth:`delete` / :meth:`update`) bumps
-    :attr:`version`.  A few ``Relation``-compatible aliases (``lookup``,
-    ``scan_lookup``, ``rows``) keep older call sites and external code
-    working unchanged when handed a store.
+    through the one abstract :meth:`probe_batch` (with :meth:`probe_ref`,
+    :meth:`probe`, :meth:`probe_many` and :meth:`contains_key` derived from
+    it), full iteration (region search and witness sweeps), size, and
+    per-column active values.  The write API (:meth:`insert` /
+    :meth:`delete` / :meth:`update`) bumps :attr:`version`.  A few
+    ``Relation``-compatible aliases (``lookup``, ``scan_lookup``, ``rows``)
+    keep older call sites and external code working unchanged when handed
+    a store.
     """
 
     # -- read API ------------------------------------------------------------
@@ -281,61 +297,47 @@ class MasterStore(ABC):
         return itertools.islice(iter(self), start, None)
 
     @abstractmethod
-    def probe(self, attrs: Iterable, key) -> tuple:
-        """Master tuples ``tm`` with ``tm[attrs] == key`` (Sect. 5.1).
+    def probe_batch(self, probes: Iterable) -> list:
+        """Keyed probes ``tm[attrs] == key`` (Sect. 5.1), many at once.
 
-        The hot path of every repair probe.  Returns an immutable tuple:
-        callers can never corrupt an internal bucket or cache entry by
-        mutating the result (backends used to hand out aliases of their
-        cache lines under a doc-only "read-only" contract; now the type
-        system enforces it).  Hot paths that want to skip even the
-        cache-miss copy can use :meth:`probe_ref`.
+        The one keyed read every backend implements; :meth:`probe_ref`,
+        :meth:`probe` and :meth:`probe_many` derive from it.  *probes* is
+        a sequence of ``(attrs, key)`` pairs over any mix of attribute
+        lists; the result lists the matching master tuples of each pair,
+        in input order.  Results may alias internal state (a hash bucket,
+        a cache line) and MUST NOT be mutated.  A key whose length differs
+        from its attribute list raises ``ValueError``.  The chase reads
+        every rule key of one step through a single call, so backends
+        with per-probe round-trip cost (sqlite, remote) answer a batch
+        with one plan.
         """
 
     def probe_ref(self, attrs: Iterable, key):
-        """No-copy variant of :meth:`probe` for read-only hot paths.
+        """No-copy single probe for read-only hot paths.
 
         Mirrors the ``HashIndex.get`` / ``get_ref`` split: the result may
-        alias internal state (a hash bucket, a cache entry) and MUST NOT
-        be mutated.  The default simply forwards to :meth:`probe` (already
-        alias-free); backends override when they have a cheaper aliasing
-        path.
+        alias internal state and MUST NOT be mutated.
         """
-        return self.probe(attrs, key)
+        return self.probe_batch([(attrs, key)])[0]
+
+    def probe(self, attrs: Iterable, key) -> tuple:
+        """Master tuples ``tm`` with ``tm[attrs] == key``, as a tuple.
+
+        The immutable copy of :meth:`probe_ref`: no caller can corrupt an
+        internal bucket or cache line by mutating the result.
+        """
+        return tuple(self.probe_ref(attrs, key))
 
     def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe: ``{tuple(key): self.probe(attrs, key)}`` per key.
+        """``{tuple(key): self.probe(attrs, key)}`` per key, in one read.
 
-        Backends with per-probe round-trip cost (sqlite, and any future
-        remote store) override this with a single batched plan; the
-        default loops over :meth:`probe`.  Duplicate keys collapse onto
-        one entry.  The batch engine's process-pool chunk warm-up calls
-        this with every rule key of a chunk to amortize round-trips.
+        Duplicate keys collapse onto one entry; the distinct keys go to
+        :meth:`probe_batch` in a single call.
         """
         attrs = tuple(attrs)
-        out: dict = {}
-        for key in keys:
-            key = tuple(key)
-            if len(key) != len(attrs):
-                raise ValueError(
-                    f"probe key {key} does not match attribute list {attrs}"
-                )
-            if key not in out:
-                out[key] = self.probe(attrs, key)
-        return out
-
-    def probe_batch(self, probes: Iterable) -> list:
-        """Many keyed probes at once, over mixed attribute lists.
-
-        *probes* is a sequence of ``(attrs, key)`` pairs; the result lists
-        ``probe_ref(attrs, key)`` for each pair, in input order, under the
-        same aliasing contract (results MUST NOT be mutated).  The chase
-        reads every rule key of one step through a single call, so
-        backends with per-probe round-trip cost (sqlite, remote) override
-        this with one batched plan; the default loops over
-        :meth:`probe_ref`.
-        """
-        return [self.probe_ref(attrs, key) for attrs, key in probes]
+        keys = list(dict.fromkeys(tuple(key) for key in keys))
+        found = self.probe_batch([(attrs, key) for key in keys])
+        return {key: tuple(rows) for key, rows in zip(keys, found)}
 
     @abstractmethod
     def ensure_index(self, attrs: Iterable) -> None:
@@ -363,7 +365,7 @@ class MasterStore(ABC):
     #: engine's per-chunk snapshot protocol).
     shares_storage_across_processes = False
 
-    #: Whether :meth:`probe_many` is cheaper than a probe loop here (drives
+    #: Whether :meth:`probe_batch` is cheaper than a probe loop here (drives
     #: the batch engine's chunk warm-up; pure-RAM backends gain nothing).
     supports_batched_probes = False
 
@@ -510,28 +512,19 @@ class InMemoryStore(MasterStore):
             yield relation.row_at(index)
             index += 1
 
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # The relation's lookup aliases the live index bucket (it shrinks
-        # under deletes and grows under inserts); the public probe hands
-        # out an immutable snapshot instead.  Only this copying entry point
-        # carries the probe span: the chase/TransFix hot loops go through
-        # probe_ref, which must stay bare.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="memory", op="probe"
-        ):
-            return tuple(self.probe_ref(attrs, key))
-
     def probe_ref(self, attrs: Iterable, key):
-        # A plain-int counter is the only telemetry this path can afford
-        # (an obs span per call would dominate the chase hot loop).
+        # The hot path: the relation's lookup aliases the live index
+        # bucket (it shrinks under deletes and grows under inserts).  A
+        # plain-int counter is the only telemetry it can afford.
         self.probe_ref_calls += 1
-        attrs = tuple(attrs)
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
+        attrs, key = _probe_pair(attrs, key)
         return self._relation.lookup(attrs, key)
+
+    def probe_batch(self, probes: Iterable) -> list:
+        # Looked up on the instance, so a wrapper rebinding probe_ref on
+        # this store (a tracer counting reads) sees every read.
+        probe_ref = self.probe_ref
+        return [probe_ref(attrs, key) for attrs, key in probes]
 
     def ensure_index(self, attrs: Iterable) -> None:
         self._relation.index_on(attrs)
@@ -766,9 +759,9 @@ class SqliteStore(MasterStore):
     """Out-of-core master data behind indexed sqlite tables.
 
     Rows live in one table (``rid`` preserving insertion order, one tagged
-    TEXT column per attribute).  :meth:`probe` creates the matching sqlite
-    index on first use and fronts it with a bounded LRU cache keyed on
-    ``(attrs, key)``; every mutation bumps :attr:`version` and drops the
+    TEXT column per attribute).  :meth:`probe_batch` creates the matching
+    sqlite index on first use and fronts it with a bounded LRU cache keyed
+    on ``(attrs, key)``; every mutation bumps :attr:`version` and drops the
     probe / active-value caches, so a stale hit can never survive a master
     update.  The connection is shared across threads behind a lock (the
     batch engine's thread fan-out probes concurrently).
@@ -819,7 +812,7 @@ class SqliteStore(MasterStore):
         ).fetchone()[0]
         self._version = 0
         self._indexed: set = set()
-        self._probe_plans: dict = {}  # attrs tuple -> prepared SELECT
+        self._probe_sql: dict = {}  # (attrs, key count) -> SELECT text
         self._active_cache: dict = {}
         self._journal = _DeltaJournal(delta_window)
         self.probe_ref_calls = 0
@@ -909,160 +902,113 @@ class SqliteStore(MasterStore):
             )
             self._indexed.add(name)
 
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # The span covers cache hits and misses alike: the hit/miss mix is
-        # exactly what the latency distribution is supposed to show.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="sqlite", op="probe"
-        ):
-            return self._probe_impl(attrs, key)
-
-    def probe_ref(self, attrs: Iterable, key):
-        # Same result as probe (already alias-free); the override exists
-        # only to count the hot path, which cannot afford an obs span.
-        self.probe_ref_calls += 1
-        return self.probe(attrs, key)
-
-    def _probe_impl(self, attrs: Iterable, key) -> tuple:
-        self._guard()
-        attrs = tuple(attrs)
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
-        cache_key = (attrs, key)
-        with self._lock:
-            cached = self._probe_cache.get(cache_key)
-            if cached is not None:
-                # Cache lines are tuples, so handing out the cached object
-                # itself is safe: no caller can corrupt the cache by
-                # mutating a probe result (they used to be shared lists).
-                return cached
-        select = self._probe_plans.get(attrs)
-        if select is None:
-            self.ensure_index(attrs)
-            where = " AND ".join(f"{self._column_of(a)} = ?" for a in attrs)
-            select = (
-                f"SELECT {', '.join(self._columns)} FROM master "
-                f"WHERE {where} ORDER BY rid"
-            )
-            self._probe_plans[attrs] = select
-        try:
-            encoded = [_encode(v) for v in key]
-        except TypeError:
-            return ()  # unstorable value (e.g. FreshValue) matches nothing
-        with self._lock:
-            records = self._db.execute(select, encoded).fetchall()
-            result = tuple(
-                Row(self._schema, [_decode(cell) for cell in record])
-                for record in records
-            )
-            self._probe_cache.put(cache_key, result)
-        return result
-
-    #: How many probe keys one batched ``IN``-clause statement may carry;
-    #: bounded so ``len(attrs) * _PROBE_BATCH`` stays far below sqlite's
+    #: How many probe keys one batched statement may carry; bounded so
+    #: ``len(attrs) * _PROBE_BATCH`` stays far below sqlite's
     #: host-parameter limit (999 in older builds).
     _PROBE_BATCH = 200
 
-    def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe with one ``IN``-clause round-trip per key block.
+    def probe_batch(self, probes: Iterable) -> list:
+        """LRU hits answered in place; misses read per attribute list.
 
-        Semantically identical to a :meth:`probe` loop (results land in the
-        LRU cache too, which is what the batch engine's chunk warm-up is
-        after), but misses are fetched with
-        ``WHERE (c1, ..., ck) IN (VALUES ...)`` over blocks of keys instead
-        of one SELECT per key.
+        Distinct cache misses are fetched in blocks of up to
+        ``_PROBE_BATCH`` keys, one statement per block (see
+        :meth:`_probe_statement`), and every fetched line lands in the
+        LRU.  The span covers hits and misses alike: the hit/miss mix is
+        exactly what the latency distribution is supposed to show.
         """
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="sqlite", op="many"
-        ):
-            return self._probe_many_impl(attrs, keys)
+        with obs.time_block("repro_store_probe_seconds", backend="sqlite"):
+            self._guard()
+            results: list = []
+            misses: dict = {}  # (attrs, key) -> result slots
+            with self._lock:
+                for attrs, key in probes:
+                    line = _probe_pair(attrs, key)
+                    # Cache lines are tuples: handing out the line itself
+                    # cannot let a caller corrupt the cache.
+                    cached = self._probe_cache.get(line)
+                    if cached is None:
+                        # Filled in by _fetch below.
+                        misses.setdefault(line, []).append(len(results))
+                        cached = ()
+                    results.append(cached)
+                self.probe_ref_calls += len(results)
+                if misses:
+                    self._fetch(misses, results)
+            return results
 
-    def _probe_many_impl(self, attrs: Iterable, keys: Iterable) -> dict:
-        self._guard()
-        attrs = tuple(attrs)
-        out: dict = {}
-        pending: list = []  # (original key, encoded key) cache misses
-        with self._lock:
-            for key in keys:
-                key = tuple(key)
-                if len(attrs) != len(key):
-                    raise ValueError(
-                        f"probe key {key} does not match attribute list "
-                        f"{attrs}"
+    def _fetch(self, misses: dict, results: list) -> None:
+        """Read the ``(attrs, key) -> slots`` misses into their result
+        slots and the LRU (caller holds the lock)."""
+        schema = self._schema
+        by_attrs: dict = {}  # attrs -> [(key, encoded key, slots)]
+        for (attrs, key), slots in misses.items():
+            try:
+                encoded = tuple(map(_encode, key))
+            except TypeError:
+                continue  # unstorable value matches nothing; not cached
+            by_attrs.setdefault(attrs, []).append((key, encoded, slots))
+        for attrs, keys in by_attrs.items():
+            for start in range(0, len(keys), self._PROBE_BATCH):
+                block = keys[start:start + self._PROBE_BATCH]
+                records = self._db.execute(
+                    self._probe_statement(attrs, len(block)),
+                    [cell for _, encoded, _ in block for cell in encoded],
+                ).fetchall()
+                if len(block) == 1:
+                    # Every record of a one-key block matches that key.
+                    grouped = {block[0][1]: records}
+                else:
+                    # Group by the records' encoded key cells; a key that
+                    # repeats one column with two different values never
+                    # comes back (the join constrains every position), so
+                    # this is exact even for repeated attrs.
+                    positions = [schema.index_of(a) for a in attrs]
+                    grouped = {}
+                    for record in records:
+                        grouped.setdefault(
+                            tuple(record[p] for p in positions), []
+                        ).append(record)
+                for key, encoded, slots in block:
+                    rows = tuple(
+                        Row(schema, [_decode(cell) for cell in record])
+                        for record in grouped.get(encoded, ())
                     )
-                if key in out:
-                    continue
-                cached = self._probe_cache.get((attrs, key))
-                if cached is not None:
-                    out[key] = cached
-                    continue
-                try:
-                    out[key] = ()  # filled below when rows come back
-                    pending.append((key, tuple(_encode(v) for v in key)))
-                except TypeError:
-                    pass  # unstorable key matches nothing; stays ()
-        if not pending:
-            return out
-        self.ensure_index(attrs)
-        columns = [self._column_of(a) for a in attrs]
-        key_expr = (
-            f"({', '.join(columns)})" if len(columns) > 1 else columns[0]
-        )
-        placeholder = (
-            "(" + ", ".join("?" for _ in columns) + ")"
-            if len(columns) > 1
-            else "?"
-        )
-        # Group returned records by their encoded key positions; a key that
-        # repeats one column with two different values can never come back
-        # (the IN row-value constrains every position), so positional
-        # grouping is exact even for repeated attrs.
-        positions = [self._schema.index_of(a) for a in attrs]
-        with self._lock:
-            for start in range(0, len(pending), self._PROBE_BATCH):
-                block = pending[start:start + self._PROBE_BATCH]
+                    self._probe_cache.put((attrs, key), rows)
+                    for slot in slots:
+                        results[slot] = rows
+
+    def _probe_statement(self, attrs: tuple, count: int) -> str:
+        """The SELECT reading *count* keys over *attrs*, cached per shape.
+
+        The keys form a ``VALUES`` table joined to ``master``: the
+        row-value form ``WHERE (c1, ..., ck) IN ((?, ...), ...)`` makes
+        sqlite (3.40) scan all of ``master`` once a block holds two or
+        more multi-column keys, while the join reads it through the
+        index.  A one-key block is the join's one-row case written as
+        plain equality, which spares the sort of the joined rows.
+        """
+        select = self._probe_sql.get((attrs, count))
+        if select is None:
+            self.ensure_index(attrs)
+            columns = [self._column_of(a) for a in attrs]
+            if count == 1:
+                where = " AND ".join(f"{c} = ?" for c in columns)
                 select = (
                     f"SELECT {', '.join(self._columns)} FROM master "
-                    f"WHERE {key_expr} IN "
-                    f"({', '.join(placeholder for _ in block)}) "
-                    f"ORDER BY rid"
+                    f"WHERE {where} ORDER BY rid"
                 )
-                params = [cell for _, encoded in block for cell in encoded]
-                grouped: dict = {}  # encoded key -> list of Rows
-                for record in self._db.execute(select, params).fetchall():
-                    enc = tuple(record[p] for p in positions)
-                    grouped.setdefault(enc, []).append(
-                        Row(self._schema, [_decode(c) for c in record])
-                    )
-                for key, encoded in block:
-                    rows = tuple(grouped.get(encoded, ()))
-                    out[key] = rows
-                    self._probe_cache.put((attrs, key), rows)
-        return out
-
-    def probe_batch(self, probes: Iterable) -> list:
-        """One ``IN``-clause plan per attribute list of the batch.
-
-        Pairs are grouped by attribute list and each group runs through
-        the :meth:`probe_many` plan (LRU hits answered in place); the
-        results come back in input order.
-        """
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="sqlite", op="batch"
-        ):
-            probes = [(tuple(attrs), tuple(key)) for attrs, key in probes]
-            self.probe_ref_calls += len(probes)
-            groups: dict = {}
-            for attrs, key in probes:
-                groups.setdefault(attrs, []).append(key)
-            answers = {
-                attrs: self._probe_many_impl(attrs, keys)
-                for attrs, keys in groups.items()
-            }
-            return [answers[attrs][key] for attrs, key in probes]
+            else:
+                row = "(" + ", ".join("?" for _ in columns) + ")"
+                on = " AND ".join(
+                    f"m.{c} = k.column{i}" for i, c in enumerate(columns, 1)
+                )
+                select = (
+                    f"SELECT {', '.join('m.' + c for c in self._columns)} "
+                    f"FROM (VALUES {', '.join([row] * count)}) AS k "
+                    f"JOIN master AS m ON {on} ORDER BY m.rid"
+                )
+            self._probe_sql[(attrs, count)] = select
+        return select
 
     def active_values(self, attr: str) -> set:
         self._guard()

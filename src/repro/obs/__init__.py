@@ -39,8 +39,8 @@ repro_store_delta_purge_total         counter    —                           v
 repro_store_full_drop_total           counter    —                           version moves falling back to the full cache drop
 repro_region_guard_total              counter    result=kept|rebuilt         delta purges that kept the certain regions /
                                                                              discarded them for a CompCRegion rebuild
-repro_store_probe_seconds             histogram  backend,                    ``MasterStore.probe``/``probe_many``/``probe_batch``
-                                                 op=probe|many|batch         span per backend (``batch``: sqlite/remote only)
+repro_store_probe_seconds             histogram  backend=sqlite|remote       one ``probe_batch`` span per call (every keyed read
+                                                                             there is a batch; the memory backend is unspanned)
 repro_lint_pass_seconds               histogram  code                        one lint pass execution (per diagnostic code)
 repro_lint_budget_exhausted_total     counter    code                        certification budget exhaustions (E205 = the
                                                                              exact region check degraded to the sampled

@@ -144,7 +144,7 @@ class BatchReport:
     master_version: int = 0
     #: Wall-clock seconds of the shared precomputation this run leaned on:
     #: ``region_precompute_s`` (paid once at engine construction, amortized
-    #: across runs) and ``probe_warmup_s`` (chunk probe_many warm-up on
+    #: across runs) and ``probe_warmup_s`` (chunk probe_batch warm-up on
     #: batched-probe backends, summed across workers).
     timings: dict = field(default_factory=dict)
     #: ``{rule_name: fixed-cell count}`` across the run (provenance rollup;
@@ -505,8 +505,7 @@ def _warm_chunk_probes(engine, pairs) -> float:
     (``supports_batched_probes``): one ``probe_batch`` over every
     ``(rule, tuple)`` key fills the probe cache with exactly the keys the
     chase is about to ask for — one round trip per chunk
-    on a remote master, one ``IN``-clause plan per attribute list on
-    sqlite.  Returns the seconds spent warming (the chunk's share of
+    on a remote master, one statement per block of keys on sqlite.  Returns the seconds spent warming (the chunk's share of
     ``BatchReport.timings["probe_warmup_s"]``).
     """
     started = time.perf_counter()

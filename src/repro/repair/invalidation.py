@@ -71,12 +71,13 @@ class RecordingStore(MasterStore):
     """Pass-through store wrapper that records keyed-probe footprints.
 
     ``footprints`` accumulates ``(attrs, key)`` for every keyed read
-    (``probe`` / ``probe_ref`` / ``probe_many`` / ``probe_batch`` /
-    ``contains_key`` / ``scan_probe``); ``swept`` notes whether any full
-    sweep (iteration, ``len``, ``active_values``) happened.  Sweeps are
-    *not* footprints: consumers whose sweep-derived state is guarded by
-    other means (the region guard's active-value snapshot, the
-    pattern-cache patcher) deliberately ignore them.
+    (``probe_ref``, ``probe_batch`` and ``scan_probe``, plus ``probe``,
+    ``probe_many`` and ``contains_key``, which the base class derives from
+    the first two); ``swept`` notes whether any full sweep (iteration,
+    ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
+    consumers whose sweep-derived state is guarded by other means (the
+    region guard's active-value snapshot, the pattern-cache patcher)
+    deliberately ignore them.
 
     A *sink* pushed with :meth:`push_sink` additionally receives every
     footprint recorded until :meth:`pop_sink`, scoping dependencies to
@@ -103,24 +104,11 @@ class RecordingStore(MasterStore):
 
     # -- read API (recorded) -------------------------------------------------
 
-    def probe(self, attrs: Iterable, key) -> tuple:
-        attrs = tuple(attrs)
-        key = tuple(key)
-        self._record(attrs, key)
-        return self._store.probe(attrs, key)
-
     def probe_ref(self, attrs: Iterable, key):
         attrs = tuple(attrs)
         key = tuple(key)
         self._record(attrs, key)
         return self._store.probe_ref(attrs, key)
-
-    def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        attrs = tuple(attrs)
-        keys = [tuple(key) for key in keys]
-        for key in keys:
-            self._record(attrs, key)
-        return self._store.probe_many(attrs, keys)
 
     def probe_batch(self, probes: Iterable) -> list:
         probes = [(tuple(attrs), tuple(key)) for attrs, key in probes]
@@ -134,9 +122,6 @@ class RecordingStore(MasterStore):
         key = tuple(key)
         self._record(attrs, key)
         return self._store.scan_probe(attrs, key)
-
-    def contains_key(self, attrs: Iterable, key) -> bool:
-        return bool(self.probe_ref(attrs, key))
 
     # -- read API (sweeps) ---------------------------------------------------
 

@@ -183,7 +183,7 @@ def test_stalled_client_does_not_block_other_clients(served, rows):
     stalled = socket.create_connection(server.address)
     try:
         stalled.sendall(
-            b"POST /probe HTTP/1.1\r\nHost: x\r\n"
+            b"POST /probe_many HTTP/1.1\r\nHost: x\r\n"
             b"Content-Type: application/json\r\nContent-Length: 999\r\n\r\n"
         )  # ... and the 999-byte body never arrives
         time.sleep(0.1)  # let the handler thread block in its body read
@@ -215,18 +215,16 @@ def test_unreachable_server_raises_store_unavailable(served, schema):
 
 def test_lying_backing_store_is_refused_server_side(served, rows,
                                                    monkeypatch):
-    """A backing store whose ``probe_many`` drops a key makes the server
-    refuse the exchange (HTTP 500); the client reports the server's own
-    message — not "unreachable" — and caches nothing from it."""
+    """A backing store whose ``probe_batch`` drops a result makes the
+    server refuse the exchange (HTTP 500); the client reports the server's
+    own message — not "unreachable" — and caches nothing from it."""
     _, backing, client = served
-    real = backing.probe_many
+    real = backing.probe_batch
 
-    def lying(attrs, keys):
-        out = dict(real(attrs, keys))
-        out.pop(next(iter(out)))
-        return out
+    def lying(probes):
+        return real(probes)[1:]
 
-    monkeypatch.setattr(backing, "probe_many", lying)
+    monkeypatch.setattr(backing, "probe_batch", lying)
     keys = [("a",), ("b",), ("zz",)]
     with pytest.raises(StoreError, match="refusing to serve a truncated "
                                          "/probe_many response") as info:
@@ -535,7 +533,7 @@ def test_metrics_endpoint_json_roundtrip(served):
     # The scrape itself is traffic too — counted on the next scrape, not
     # this one, so only the probe traffic is asserted here.
     assert snapshot.counter_value(
-        "repro_server_requests_total", endpoint="/probe", status="200"
+        "repro_server_requests_total", endpoint="/probe_many", status="200"
     ) >= 1
 
 
@@ -564,15 +562,13 @@ def test_client_spans_recorded_when_obs_enabled(served):
         snap = obs.snapshot()
     finally:
         obs.disable()
+    # One span per call: both reads are one probe_batch each.
     assert snap.histogram_value(
-        "repro_store_probe_seconds", backend="remote", op="probe"
-    ).count == 1
-    assert snap.histogram_value(
-        "repro_store_probe_seconds", backend="remote", op="many"
-    ).count == 1
+        "repro_store_probe_seconds", backend="remote"
+    ).count == 2
     assert snap.counter_value(
-        "repro_remote_requests_total", endpoint="/probe", status="ok"
+        "repro_remote_requests_total", endpoint="/probe_many", status="ok"
     ) >= 1
     assert snap.histogram_value(
-        "repro_remote_request_seconds", endpoint="/probe"
+        "repro_remote_request_seconds", endpoint="/probe_many"
     ).count >= 1

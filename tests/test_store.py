@@ -377,6 +377,105 @@ def test_sqlite_probe_many_unstorable_key_matches_nothing(schema, rows):
     assert [v for k, v in out.items() if not isinstance(k[0], str)] == [()]
 
 
+def test_sqlite_multi_column_block_reads_master_through_its_index(schema):
+    """A block of two multi-column keys must not scan ``master``: the
+    row-value ``IN`` list form did, on every such block."""
+    many = [Row(schema, (f"k{i}", f"v{i % 7}", i)) for i in range(500)]
+    store = SqliteStore(schema, many)
+    statements: list = []
+    store._db.set_trace_callback(statements.append)
+    out = store.probe_many(("k", "v"), [("k1", "v1"), ("k9", "v2")])
+    store._db.set_trace_callback(None)
+    assert out == {("k1", "v1"): (many[1],), ("k9", "v2"): (many[9],)}
+    selects = [sql for sql in statements if sql.startswith("SELECT")]
+    assert selects
+    for sql in selects:
+        plan = [
+            record[-1]
+            for record in store._db.execute("EXPLAIN QUERY PLAN " + sql)
+        ]
+        assert not [step for step in plan if step.split()[:2] in (
+            ["SCAN", "master"], ["SCAN", "m"],
+        )], plan
+
+
+# -- the narrowed ABC: one abstract keyed read --------------------------------
+
+
+class ListStore(MasterStore):
+    """A backend whose only keyed read is ``probe_batch`` over a list."""
+
+    def __init__(self, schema, rows):
+        self._schema = schema
+        self._rows = list(rows)
+
+    @property
+    def schema(self):
+        return self._schema
+
+    version = 0
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def probe_batch(self, probes):
+        out = []
+        for attrs, key in probes:
+            attrs, key = tuple(attrs), tuple(key)
+            if len(attrs) != len(key):
+                raise ValueError(
+                    f"probe key {key} does not match attribute list {attrs}"
+                )
+            out.append([tm for tm in self._rows if tm[attrs] == key])
+        return out
+
+    def ensure_index(self, attrs):
+        pass
+
+    def active_values(self, attr):
+        return {tm[attr] for tm in self._rows}
+
+    def insert(self, row):
+        raise NotImplementedError
+
+    def delete(self, row):
+        raise NotImplementedError
+
+
+def test_reads_derive_from_probe_batch(schema, rows):
+    derived = ListStore(schema, rows)
+    memory = InMemoryStore(Relation(schema, rows))
+    probes = [
+        (("k",), ("a",)),
+        (("k",), ("zzz",)),
+        (("k", "v"), ("a", "x")),
+        (("k", "v"), ("c", NULL)),
+        (("k", "k"), ("a", "b")),
+        (("n",), (2,)),
+    ]
+    for attrs, key in probes:
+        assert derived.probe(attrs, key) == memory.probe(attrs, key)
+        assert isinstance(derived.probe(attrs, key), tuple)
+        assert tuple(derived.probe_ref(attrs, key)) == \
+            memory.probe(attrs, key)
+        assert derived.contains_key(attrs, key) == \
+            memory.contains_key(attrs, key)
+        assert derived.lookup(attrs, key) == memory.lookup(attrs, key)
+    keys = [("a", "x"), ("c", NULL), ("a", "x"), ("b", "x")]
+    assert derived.probe_many(("k", "v"), keys) == \
+        memory.probe_many(("k", "v"), keys)
+    assert list(derived.probe_many(("k", "v"), keys)) == \
+        [("a", "x"), ("c", NULL), ("b", "x")]
+    for store in (derived, memory):
+        with pytest.raises(ValueError, match="does not match attribute"):
+            store.probe(("k", "v"), ("a",))
+        with pytest.raises(ValueError, match="does not match attribute"):
+            store.probe_many(("k", "v"), [("a", "x"), ("a",)])
+
+
 # -- detach / reattach (process-boundary protocol) ----------------------------
 
 
@@ -431,7 +530,7 @@ def test_masterstore_default_detach_refused():
         version = 0
         def __len__(self): return 0
         def __iter__(self): return iter(())
-        def probe(self, attrs, key): return ()
+        def probe_batch(self, probes): return [() for _ in probes]
         def ensure_index(self, attrs): pass
         def active_values(self, attr): return set()
         def insert(self, row): pass
