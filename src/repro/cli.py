@@ -296,7 +296,6 @@ def _cmd_batch_repair(args) -> int:
         master = as_master_store(_load_master_store(args))
         with open(args.rules, encoding="utf-8") as handle:
             rules = rule_io.loads(handle.read())
-        workers = args.workers if args.workers is not None else args.concurrency
         engine = BatchRepairEngine(
             rules,
             master,
@@ -305,7 +304,7 @@ def _cmd_batch_repair(args) -> int:
             memoize=not args.no_memoize,
             chunk_size=args.chunk_size,
             executor=args.executor,
-            concurrency=workers,
+            concurrency=args.workers,
             mp_start_method=args.start_method,
             on_incomplete=args.on_incomplete,
             preflight=args.preflight,
@@ -558,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
              "with --master-backend sqlite requires --sqlite-path)",
     )
     batch.add_argument(
-        "--workers", type=int, default=None,
-        help="workers for the chosen executor (alias of --concurrency; "
-             "this spelling wins when both are given)",
+        "--workers", type=int, default=1,
+        help="workers for the chosen executor (default: 1)",
     )
     batch.add_argument(
         "--start-method", choices=("fork", "spawn", "forkserver"),
@@ -568,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --executor process: the multiprocessing start method "
              "(default: platform default)",
     )
-    batch.add_argument("--concurrency", type=int, default=1)
     batch.add_argument("--max-rounds", type=int, default=12)
     batch.add_argument(
         "--on-incomplete", choices=("keep", "raise"), default="keep",

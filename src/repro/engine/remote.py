@@ -27,7 +27,7 @@ lines the changed rows project onto, falling back to the historical full
 cache drop whenever the journal cannot prove the list complete.  A
 server-side mutation therefore invalidates client caches exactly like a
 local mutation does, and the client re-exports the journal through its
-own ``deltas_since`` mirror so the repair engines' per-key purge path
+own ``deltas_since`` journal so the repair engines' per-key purge path
 works across the network boundary too.  A client that only ever hits
 its own warm cache would never observe anything, so ``poll_interval``
 optionally re-polls ``/version`` on :attr:`RemoteStore.version` reads
@@ -62,7 +62,6 @@ import socket
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from http import client as http_client
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,13 +71,13 @@ from urllib.parse import parse_qs, urlsplit
 from repro import obs
 from repro.engine.schema import Domain, RelationSchema
 from repro.engine.store import (
-    DEFAULT_DELTA_WINDOW,
     MasterStore,
     StoreDelta,
     StoreDetachedError,
     StoreError,
     StoreProtocolError,
     StoreUnavailableError,
+    _DeltaJournal,
     _decode,
     _encode,
     _probe_pair,
@@ -660,14 +659,12 @@ class RemoteStore(MasterStore):
         self._requests = 0
         self._reconnects = 0
         self._invalidations = 0
-        # Delta reconciliation state: a local mirror of the server's
-        # journal (so engines stacked on this client can read
-        # ``deltas_since`` without a round-trip), the contiguous floor it
-        # covers from, and the re-entrancy flag that keeps the nested
-        # ``/deltas`` fetch from re-triggering itself off its own
-        # response header.
-        self._mirror: deque = deque()
-        self._mirror_floor = -1
+        # Delta reconciliation state: a local journal of the reconciled
+        # server deltas (so engines stacked on this client can read
+        # ``deltas_since`` without a round-trip), and the re-entrancy flag
+        # that keeps the nested ``/deltas`` fetch from re-triggering
+        # itself off its own response header.
+        self._journal = _DeltaJournal()
         self._delta_fetch_active = False
         self.delta_purges = 0
         self.full_drops = 0
@@ -814,7 +811,7 @@ class RemoteStore(MasterStore):
                 return
             if self._version < 0:
                 self._version = version
-                self._mirror_floor = version
+                self._journal.reset(version)
                 return
             since = self._version
             self._delta_fetch_active = True
@@ -862,8 +859,7 @@ class RemoteStore(MasterStore):
         self._active_cache.clear()
         self._len_cache = None
         self._version = max(version, since)
-        self._mirror.clear()
-        self._mirror_floor = self._version
+        self._journal.reset(self._version)
 
     def _apply_delta(self, delta: StoreDelta) -> None:
         """Patch the read-through caches for one journaled mutation."""
@@ -882,9 +878,7 @@ class RemoteStore(MasterStore):
                     del self._active_cache[attr]
             if self._len_cache is not None:
                 self._len_cache -= 1
-        self._mirror.append(delta)
-        while len(self._mirror) > DEFAULT_DELTA_WINDOW:
-            self._mirror_floor = self._mirror.popleft().version
+        self._journal.record(delta.version, delta.op, delta.values)
 
     # -- introspection -------------------------------------------------------
 
@@ -919,28 +913,16 @@ class RemoteStore(MasterStore):
         self._observe_version(version)
 
     def deltas_since(self, version: int):
-        """Mutations strictly after *version*, from the local mirror.
+        """Mutations strictly after *version*, from the local journal.
 
-        Served without a round-trip: every observed bump lands in the
-        mirror as it is reconciled (full drops clear it), so engines
-        stacked on this client get the same delta contract as the
-        in-process backends.  Reads the raw stamp — no poll: callers ask
-        about versions they already observed.
+        Served without a round-trip: every observed bump is recorded as it
+        is reconciled (full drops reset the journal), so engines stacked
+        on this client get the same delta contract as the in-process
+        backends.  Reads the raw stamp — no poll: callers ask about
+        versions they already observed.
         """
         with self._cache_lock:
-            current = self._version
-            if version > current:
-                return None
-            if version == current:
-                return ()
-            if version < self._mirror_floor:
-                return None
-            records = tuple(
-                d for d in self._mirror if d.version > version
-            )
-            if len(records) != current - version:
-                return None
-            return records
+            return self._journal.since(version, self._version)
 
     def adopt_deltas(self, deltas, version: int) -> bool:
         """Resync to the parent's *version*; the row data is server-side.

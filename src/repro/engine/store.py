@@ -158,12 +158,9 @@ class _DeltaJournal:
     lock, exactly as for the surrounding version bookkeeping.
     """
 
-    __slots__ = ("window", "_records", "_floor")
+    __slots__ = ("_records", "_floor")
 
-    def __init__(self, window: int = DEFAULT_DELTA_WINDOW):
-        if window < 1:
-            raise ValueError(f"delta_window must be >= 1, got {window}")
-        self.window = window
+    def __init__(self):
         self._records: deque = deque()
         self._floor = 0
 
@@ -176,7 +173,7 @@ class _DeltaJournal:
             self._records.clear()
             self._floor = version - 1
         self._records.append(StoreDelta(version, op, tuple(values)))
-        while len(self._records) > self.window:
+        while len(self._records) > DEFAULT_DELTA_WINDOW:
             dropped = self._records.popleft()
             self._floor = dropped.version
 
@@ -466,22 +463,17 @@ class InMemoryStore(MasterStore):
     directly on the wrapped relation are noticed too.
     """
 
-    def __init__(
-        self, relation: Relation, delta_window: int = DEFAULT_DELTA_WINDOW
-    ):
+    def __init__(self, relation: Relation):
         self._relation = relation
-        self._journal = _DeltaJournal(delta_window)
+        self._journal = _DeltaJournal()
         self._journal.reset(relation.mutation_count)
         self.probe_ref_calls = 0
 
     @classmethod
     def from_rows(
-        cls,
-        schema: RelationSchema,
-        rows: Iterable = (),
-        delta_window: int = DEFAULT_DELTA_WINDOW,
+        cls, schema: RelationSchema, rows: Iterable = ()
     ) -> "InMemoryStore":
-        return cls(Relation(schema, rows), delta_window=delta_window)
+        return cls(Relation(schema, rows))
 
     @property
     def relation(self) -> Relation:
@@ -776,7 +768,6 @@ class SqliteStore(MasterStore):
         path=None,
         probe_cache_size: int = 4096,
         fresh: bool = False,
-        delta_window: int = DEFAULT_DELTA_WINDOW,
     ):
         """Open (or create) the store and append *rows*.
 
@@ -814,7 +805,7 @@ class SqliteStore(MasterStore):
         self._indexed: set = set()
         self._probe_sql: dict = {}  # (attrs, key count) -> SELECT text
         self._active_cache: dict = {}
-        self._journal = _DeltaJournal(delta_window)
+        self._journal = _DeltaJournal()
         self.probe_ref_calls = 0
         self._insert_many(rows)
 

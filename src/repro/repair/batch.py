@@ -22,9 +22,15 @@ adds the throughput layer on top of :class:`repro.repair.certainfix.CertainFix`:
   no longer poison the shared caches;
 * **chunked execution** — the input stream is consumed in bounded chunks
   (generators welcome: CSV ingestion never materializes the workload), with
-  an optional thread or process fan-out over the read-only master state;
+  an optional thread or process fan-out over the read-only master state.
+  One run loop serves every executor; the executor decides only how a
+  chunk is monitored (inline, split over a thread pool, or through an
+  ordered window of process tasks);
 * **structured reporting** — :class:`BatchReport` carries throughput,
-  rounds per tuple and per-cache hit rates for the perf trajectory.
+  rounds per tuple and per-cache hit rates for the perf trajectory.  Every
+  chunk comes back with the :class:`EngineCounters` delta it caused and
+  its per-worker share, so thread and process runs report the same
+  per-worker rows and the same totals.
 
 Choosing an executor (``executor="thread"`` vs ``"process"``): monitoring is
 embarrassingly parallel per dirty tuple — master data and Σ are read-only
@@ -56,13 +62,14 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import operator
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import obs
 from repro.engine.csvio import stream_rows_from_csv
@@ -101,8 +108,44 @@ class MemoStats:
             misses=self.misses - earlier.misses,
         )
 
-    def snapshot(self) -> "MemoStats":
-        return MemoStats(hits=self.hits, misses=self.misses)
+
+@dataclass
+class EngineCounters:
+    """One snapshot of the engine counters a batch run reports.
+
+    Snapshots subtract into per-chunk deltas and add up into run totals,
+    with the same arithmetic for every executor.  The engine also keeps
+    its memo counters (the first four) in one record of this type per
+    thread, written only by that thread; :meth:`_MemoCertainFix.counters`
+    sums the records and adds the master-sync counters.
+    """
+
+    chase_hits: int = 0
+    chase_misses: int = 0
+    suggestion_hits: int = 0
+    suggestion_misses: int = 0
+    cache_invalidations: int = 0
+    delta_purges: int = 0
+    full_drops: int = 0
+    region_rebuilds: int = 0
+
+    def __add__(self, other: "EngineCounters") -> "EngineCounters":
+        return EngineCounters(*map(operator.add, _values(self), _values(other)))
+
+    def __sub__(self, other: "EngineCounters") -> "EngineCounters":
+        return EngineCounters(*map(operator.sub, _values(self), _values(other)))
+
+    def memo_row(self) -> dict:
+        """The memo counters, as the columns of a per-worker row."""
+        return {
+            "chase_hits": self.chase_hits,
+            "chase_misses": self.chase_misses,
+            "suggestion_hits": self.suggestion_hits,
+            "suggestion_misses": self.suggestion_misses,
+        }
+
+
+_values = operator.attrgetter(*(f.name for f in fields(EngineCounters)))
 
 
 @dataclass
@@ -115,16 +158,17 @@ class BatchReport:
     rounds: int = 0
     chunks: int = 0
     elapsed: float = 0.0
-    concurrency: int = 1
     chunk_size: int = 0
     executor: str = "thread"
     workers: int = 1
     #: Per-worker breakdown keyed by worker label — ``pid-<n>`` for the
-    #: process pool, ``thread-<n>`` for the thread fan-out — each value a
-    #: flat dict of chunk/tuple counts and memo hit/miss counters.
+    #: process pool, ``thread-<n>`` for the thread fan-out.  Both executors
+    #: fill the same columns: ``chunks``, ``tuples``, ``chase_hits``,
+    #: ``chase_misses``, ``suggestion_hits`` and ``suggestion_misses``.
     #: Threads share one set of caches, so their rows split the shared
-    #: counters by which thread performed each lookup.  Empty only for
-    #: sequential runs (``concurrency=1``).
+    #: counters by which thread performed each lookup, and a chunk counts
+    #: once for every thread that monitored part of it.  Empty only for
+    #: sequential thread runs (``concurrency=1``).
     worker_stats: dict = field(default_factory=dict)
     regions_precomputed: int = 0
     chase_memo: MemoStats = field(default_factory=MemoStats)
@@ -180,7 +224,6 @@ class BatchReport:
             "mean_rounds": round(self.mean_rounds, 4),
             "chunks": self.chunks,
             "chunk_size": self.chunk_size,
-            "concurrency": self.concurrency,
             "executor": self.executor,
             "workers": self.workers,
             "worker_stats": {
@@ -318,57 +361,48 @@ class _MemoCertainFix(CertainFix):
         # journal delta purges exactly the entries whose chase probed the
         # changed row (see repro.repair.invalidation).
         self._chase_footprints = FootprintIndex(self.store.schema)
-        self.chase_stats = MemoStats()
-        self._bdd_lock = None
-        # Counter increments are read-modify-write and would drop updates
-        # under the thread fan-out; the lock is uncontended (nanoseconds)
-        # next to a chase run.
-        self._stats_lock = threading.Lock()
-        # Optional per-thread split of the shared memo counters, keyed by
-        # thread ident; enabled by the batch engine's thread fan-out so
-        # BatchReport.worker_stats has rows for threads like it does for
-        # process workers.  None = disabled (no per-lookup overhead).
-        self._thread_stats = None
+        # One EngineCounters record per thread ident; each thread bumps
+        # only its own, so memo lookups take no lock.
+        self._tallies: dict = {}
+        # The BDD is the only mutable structure shared *across* concurrent
+        # sessions mid-flight; its traversal/extension is serialized.
+        self._bdd_lock = threading.Lock()
 
-    # -- per-thread accounting (thread fan-out worker_stats) -------------------
+    # -- counters ---------------------------------------------------------------
 
-    def enable_thread_stats(self) -> None:
-        with self._stats_lock:
-            self._thread_stats = {}
-
-    def drain_thread_stats(self) -> dict:
-        """Stop per-thread accounting; returns ``{ident: stats}`` in first-
-        touch order (the batch engine relabels idents ``thread-<n>``)."""
-        with self._stats_lock:
-            sink, self._thread_stats = self._thread_stats, None
-        return sink or {}
-
-    def _bump_thread(self, key: str) -> None:
-        # Caller holds _stats_lock.
-        sink = self._thread_stats
-        if sink is None:
-            return
+    def _tally(self) -> EngineCounters:
+        """The calling thread's memo counter record."""
         ident = threading.get_ident()
-        stats = sink.get(ident)
-        if stats is None:
-            stats = sink[ident] = {
-                "chunks": 0, "tuples": 0, "_chunk": None,
-                "chase_hits": 0, "chase_misses": 0,
-            }
-        stats[key] += 1
+        tally = self._tallies.get(ident)
+        if tally is None:
+            tally = self._tallies.setdefault(ident, EngineCounters())
+        return tally
 
-    def note_thread_session(self, chunk_seq: int) -> None:
-        """Count one monitored tuple (and chunk participation) for the
-        calling thread."""
-        with self._stats_lock:
-            sink = self._thread_stats
-            if sink is None:
-                return
-            self._bump_thread("tuples")
-            stats = sink[threading.get_ident()]
-            if stats["_chunk"] != chunk_seq:
-                stats["_chunk"] = chunk_seq
-                stats["chunks"] += 1
+    def thread_counters(self) -> dict:
+        """``{thread ident: EngineCounters}``, copies of each thread's
+        memo counters."""
+        return {
+            ident: replace(tally)
+            for ident, tally in list(self._tallies.items())
+        }
+
+    def counters(self) -> EngineCounters:
+        """Snapshot of every counter a :class:`BatchReport` carries."""
+        total = EngineCounters(
+            cache_invalidations=self.cache_invalidations,
+            delta_purges=self.delta_purges,
+            full_drops=self.full_drops,
+            region_rebuilds=self.region_rebuilds,
+        )
+        for tally in list(self._tallies.values()):
+            total += tally
+        return total
+
+    @property
+    def chase_stats(self) -> MemoStats:
+        """Chase memo hits/misses, summed over every thread."""
+        counters = self.counters()
+        return MemoStats(counters.chase_hits, counters.chase_misses)
 
     # Both master-sync hooks run under the base engine's ``_memo_guard``
     # hold, and the stamp-checked write in _validated_fix guarantees a
@@ -409,18 +443,15 @@ class _MemoCertainFix(CertainFix):
             return super()._validated_fix(row, validated, store)
         key = self._memo_key(row, validated)
         stamp = self._master_version
+        tally = self._tally()
         applied = self._chase_memo.get(key, _ABSENT)
         if applied is not _ABSENT:
-            with self._stats_lock:
-                self.chase_stats.hits += 1
-                self._bump_thread("chase_hits")
+            tally.chase_hits += 1
             obs.inc("repro_chase_memo_total", result="hit")
             if applied is None:
                 return None
             return TransFixResult.from_chase(row, validated, applied)
-        with self._stats_lock:
-            self.chase_stats.misses += 1
-            self._bump_thread("chase_misses")
+        tally.chase_misses += 1
         obs.inc("repro_chase_memo_total", result="miss")
         recording = (
             RecordingStore(self.store) if self._delta_invalidation else None
@@ -436,12 +467,18 @@ class _MemoCertainFix(CertainFix):
         return result
 
     def _next_suggestion(self, cursor, row, validated):
-        # The BDD is the only mutable structure shared *across* concurrent
-        # sessions mid-flight; serialize its traversal/extension.
-        if self._bdd_lock is not None and cursor is not None:
-            with self._bdd_lock:
-                return super()._next_suggestion(cursor, row, validated)
-        return super()._next_suggestion(cursor, row, validated)
+        if cursor is None:
+            return super()._next_suggestion(cursor, row, validated)
+        with self._bdd_lock:
+            # Under the lock the BDD's shared hit/miss counters move only
+            # for this call, so their delta is this thread's.
+            stats = self._cache.stats
+            hits, misses = stats.hits, stats.misses
+            suggestion = super()._next_suggestion(cursor, row, validated)
+            tally = self._tally()
+            tally.suggestion_hits += stats.hits - hits
+            tally.suggestion_misses += stats.misses - misses
+        return suggestion
 
 
 def _chunked(iterable: Iterable, size: int):
@@ -519,8 +556,8 @@ def _warm_chunk_probes(engine, pairs) -> float:
     return time.perf_counter() - started
 
 
-def _process_worker_chunk(task: tuple) -> dict:
-    """Monitor one chunk in this worker; returns sessions + stats deltas.
+def _process_worker_chunk(task: tuple) -> tuple:
+    """Monitor one chunk in this worker.
 
     ``task`` is ``(seq, pairs, version, snapshot, deltas)``.  *version* is
     the parent store's version when the chunk was dispatched; when it
@@ -532,14 +569,15 @@ def _process_worker_chunk(task: tuple) -> dict:
     the shared database file for sqlite (*snapshot* is None) — so a
     mid-batch master update still invalidates every worker's
     version-stamped caches.
+
+    Returns ``(worker label, sessions, counter delta, warm_s,
+    store_version)``; the store version is the ack that lets the parent
+    stop attaching snapshots once every worker holds the new stamp.
     """
     seq, pairs, version, snapshot, deltas = task
     engine = _WORKER_ENGINE
     store = engine.store
-    invalidations0 = engine.cache_invalidations
-    delta_purges0 = engine.delta_purges
-    full_drops0 = engine.full_drops
-    region_rebuilds0 = engine.region_rebuilds
+    before = engine.counters()
     # Strictly newer only: tasks are dispatched through one FIFO queue, so
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
@@ -553,35 +591,33 @@ def _process_worker_chunk(task: tuple) -> dict:
     warm_s = 0.0
     if store.supports_batched_probes:
         warm_s = _warm_chunk_probes(engine, pairs)
-    chase0 = engine.chase_stats.snapshot()
-    suggestion = engine.cache_stats
-    sugg_hits0 = suggestion.hits if suggestion is not None else 0
-    sugg_misses0 = suggestion.misses if suggestion is not None else 0
-
     sessions = [engine.fix(row, oracle) for row, oracle in pairs]
+    return (
+        f"pid-{os.getpid()}", sessions, engine.counters() - before, warm_s,
+        store.version,
+    )
 
-    suggestion = engine.cache_stats
-    return {
-        "seq": seq,
-        "worker": f"pid-{os.getpid()}",
-        "sessions": sessions,
-        "chase": (
-            engine.chase_stats.hits - chase0.hits,
-            engine.chase_stats.misses - chase0.misses,
-        ),
-        "suggestions": (
-            (suggestion.hits - sugg_hits0) if suggestion is not None else 0,
-            (suggestion.misses - sugg_misses0) if suggestion is not None else 0,
-        ),
-        "invalidations": engine.cache_invalidations - invalidations0,
-        "delta_purges": engine.delta_purges - delta_purges0,
-        "full_drops": engine.full_drops - full_drops0,
-        "region_rebuilds": engine.region_rebuilds - region_rebuilds0,
-        "warm_s": warm_s,
-        # Ack: lets the parent stop attaching snapshots once every worker
-        # has confirmed the post-mutation stamp.
-        "store_version": store.version,
-    }
+
+class _Chunk(NamedTuple):
+    """One monitored chunk, as every executor hands it to the run loop."""
+
+    sessions: list
+    #: What the chunk moved in the engine counters.
+    counters: EngineCounters
+    #: ``{worker label: (tuples, counters)}`` for the workers that
+    #: monitored the chunk; empty when it ran inline.
+    workers: dict
+    #: Seconds spent warming the chunk's probes (process workers only).
+    warm_s: float = 0.0
+
+
+def _hit_rates(totals: EngineCounters) -> dict:
+    rates = {"chase": _rate(totals.chase_hits, totals.chase_misses)}
+    if totals.suggestion_hits or totals.suggestion_misses:
+        rates["suggest"] = _rate(
+            totals.suggestion_hits, totals.suggestion_misses
+        )
+    return rates
 
 
 class BatchRepairEngine:
@@ -621,8 +657,8 @@ class BatchRepairEngine:
     concurrency:
         Workers per chunk (1 = sequential for the thread executor).
         Threads share the read-only master state and all caches; processes
-        each hold their own copy, so per-run reports aggregate per-worker
-        stats instead (``BatchReport.worker_stats``).
+        each hold their own copy.  Either way the report splits its memo
+        counters per worker (``BatchReport.worker_stats``).
     mp_start_method:
         Process executor only: the :mod:`multiprocessing` start method
         (``"fork"``, ``"spawn"``, ``"forkserver"``; None = platform
@@ -705,8 +741,6 @@ class BatchRepairEngine:
             regions=regions, use_bdd=use_bdd, memoize=memoize,
             **engine_options,
         )
-        if executor == "thread" and concurrency > 1 and use_bdd:
-            self._engine._bdd_lock = threading.Lock()
         self._pool = None
         self._pool_version = None  # newest version every worker is known
         #                            to hold (starts at the spec's stamp)
@@ -836,269 +870,178 @@ class BatchRepairEngine:
 
         The stream is consumed lazily in chunks of ``chunk_size``; sessions
         come back in stream order regardless of ``executor`` or
-        ``concurrency`` (process chunks carry sequence numbers and are
-        merged in submission order).
+        ``concurrency``.  One loop serves every executor: only how a
+        chunk is monitored differs (inline, split over worker threads, or
+        through the ordered window of process tasks), and each chunk comes
+        back with its sessions, the engine-counter delta it caused and its
+        per-worker share.
 
         *progress* is an optional :class:`repro.obs.ProgressReporter`: it is
-        advanced once per completed chunk with the running cache hit rates
-        and per-worker tuple counts, and always receives a final
+        started with the run's own timer, advanced once per completed chunk
+        with the running cache hit rates and per-worker tuple counts, and
+        always receives a final
         :meth:`~repro.obs.ProgressReporter.finish` — including after a
         mid-run store failure, so the last heartbeat reflects everything
         that completed.
         """
-        if self.executor == "process":
-            return self._run_process(pairs, progress)
-        return self._run_threaded(pairs, progress)
-
-    def _run_process(self, pairs: Iterable, progress=None) -> BatchResult:
-        """Fan chunks out to the worker processes; merge in stream order."""
-        pool = self._ensure_pool()
-        engine = self._engine
         sessions: list = []
-        worker_stats: dict = {}
-        totals = {
-            "chase": [0, 0], "suggestions": [0, 0],
-            "invalidations": 0, "delta_purges": 0, "full_drops": 0,
-            "region_rebuilds": 0,
-            "warm_s": 0.0,
-        }
-
-        def hit_rates() -> dict:
-            rates = {"chase": _rate(*totals["chase"])}
-            if totals["suggestions"][0] or totals["suggestions"][1]:
-                rates["suggest"] = _rate(*totals["suggestions"])
-            return rates
+        totals = EngineCounters()
+        warm_s = 0.0
+        workers: dict = {}  # label -> [chunks, tuples, EngineCounters]
+        chunks = 0
+        store_failure = None
 
         def worker_tuples() -> dict:
-            return {
-                worker: stats["tuples"]
-                for worker, stats in worker_stats.items()
-            }
+            return {label: row[1] for label, row in workers.items()}
 
-        def consume(future) -> None:
-            result = future.result()
-            chunk_sessions = result["sessions"]
-            for offset, session in enumerate(chunk_sessions):
-                if not session.completed and self.on_incomplete == "raise":
-                    raise IncompleteFix(session, index=len(sessions) + offset)
-            sessions.extend(chunk_sessions)
-            self._worker_versions[result["worker"]] = max(
-                result["store_version"],
-                self._worker_versions.get(result["worker"], 0),
-            )
-            for name in ("chase", "suggestions"):
-                totals[name][0] += result[name][0]
-                totals[name][1] += result[name][1]
-            totals["invalidations"] += result["invalidations"]
-            totals["delta_purges"] += result["delta_purges"]
-            totals["full_drops"] += result["full_drops"]
-            totals["region_rebuilds"] += result["region_rebuilds"]
-            totals["warm_s"] += result["warm_s"]
-            stats = worker_stats.setdefault(result["worker"], {
-                "chunks": 0, "tuples": 0,
-                "chase_hits": 0, "chase_misses": 0,
-                "suggestion_hits": 0, "suggestion_misses": 0,
-            })
-            stats["chunks"] += 1
-            stats["tuples"] += len(chunk_sessions)
-            stats["chase_hits"] += result["chase"][0]
-            stats["chase_misses"] += result["chase"][1]
-            stats["suggestion_hits"] += result["suggestions"][0]
-            stats["suggestion_misses"] += result["suggestions"][1]
-            if progress is not None:
-                progress.advance(
-                    len(chunk_sessions),
-                    rates=hit_rates(),
-                    workers=worker_tuples(),
+        started = time.perf_counter()
+        if progress is not None:
+            progress.start()
+        monitored = self._monitor(_chunked(pairs, self.chunk_size))
+        try:
+            for chunk in monitored:
+                for offset, session in enumerate(chunk.sessions):
+                    if not session.completed and self.on_incomplete == "raise":
+                        raise IncompleteFix(
+                            session, index=len(sessions) + offset
+                        )
+                sessions.extend(chunk.sessions)
+                chunks += 1
+                totals += chunk.counters
+                warm_s += chunk.warm_s
+                for label, (tuples, counters) in chunk.workers.items():
+                    row = workers.setdefault(label, [0, 0, EngineCounters()])
+                    row[0] += 1
+                    row[1] += tuples
+                    row[2] += counters
+                if progress is not None:
+                    progress.advance(
+                        len(chunk.sessions),
+                        rates=_hit_rates(totals),
+                        workers=worker_tuples(),
+                    )
+        except StoreError as exc:
+            # Infrastructure died mid-run (the master connection, usually).
+            # Report what completed and re-raise with the report attached —
+            # see BatchReport.store_errors.
+            store_failure = exc
+        finally:
+            monitored.close()
+        elapsed = time.perf_counter() - started
+        if progress is not None:
+            progress.finish(rates=_hit_rates(totals), workers=worker_tuples())
+
+        report = BatchReport(
+            tuples=len(sessions),
+            completed=sum(1 for s in sessions if s.completed),
+            incomplete=sum(1 for s in sessions if not s.completed),
+            rounds=sum(s.round_count for s in sessions),
+            chunks=chunks,
+            elapsed=elapsed,
+            chunk_size=self.chunk_size,
+            executor=self.executor,
+            workers=self.concurrency,
+            worker_stats={
+                label: {"chunks": n, "tuples": tuples, **counters.memo_row()}
+                for label, (n, tuples, counters) in workers.items()
+            },
+            regions_precomputed=len(self._engine.regions),
+            chase_memo=MemoStats(totals.chase_hits, totals.chase_misses),
+            suggestion_hits=totals.suggestion_hits,
+            suggestion_misses=totals.suggestion_misses,
+            cache_invalidations=totals.cache_invalidations,
+            delta_purges=totals.delta_purges,
+            full_drops=totals.full_drops,
+            region_rebuilds=totals.region_rebuilds,
+            master_version=self._safe_store_version(),
+            timings={
+                "region_precompute_s": self._region_precompute_s,
+                "probe_warmup_s": warm_s,
+            },
+            fixes_by_rule=count_fixes_by_rule(sessions),
+            store_errors=(
+                [str(store_failure)] if store_failure is not None else []
+            ),
+        )
+        if store_failure is not None:
+            store_failure.report = report
+            raise store_failure
+        return BatchResult(sessions=sessions, report=report)
+
+    def _monitor(self, chunks):
+        """Monitor *chunks* on this run's executor; yields a
+        :class:`_Chunk` per chunk, in stream order."""
+        if self.executor == "process":
+            return self._monitor_in_processes(chunks)
+        if self.concurrency > 1:
+            return self._monitor_in_threads(chunks)
+        return self._monitor_inline(chunks)
+
+    def _monitor_inline(self, chunks):
+        engine = self._engine
+        for chunk in chunks:
+            before = engine.counters()
+            sessions = [engine.fix(row, oracle) for row, oracle in chunk]
+            yield _Chunk(sessions, engine.counters() - before, {})
+
+    def _monitor_in_threads(self, chunks):
+        """Split each chunk over the thread pool (chunks never warm)."""
+        engine = self._engine
+        labels: dict = {}  # thread ident -> "thread-<n>", first-seen order
+
+        def monitored(pair):
+            return threading.get_ident(), engine.fix(*pair)
+
+        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
+            for chunk in chunks:
+                before = engine.counters()
+                tallies = engine.thread_counters()
+                results = list(pool.map(monitored, chunk))
+                after = engine.thread_counters()
+                workers = {
+                    labels.setdefault(ident, f"thread-{len(labels) + 1}"): (
+                        tuples,
+                        after[ident] - tallies.get(ident, EngineCounters()),
+                    )
+                    for ident, tuples in Counter(
+                        ident for ident, _ in results
+                    ).items()
+                }
+                yield _Chunk(
+                    [session for _, session in results],
+                    engine.counters() - before,
+                    workers,
                 )
+
+    def _monitor_in_processes(self, chunks):
+        """Fan chunks out to the worker processes; yield in stream order."""
+        pool = self._ensure_pool()
+
+        def collect(future) -> _Chunk:
+            label, sessions, counters, warm_s, version = future.result()
+            self._worker_versions[label] = max(
+                version, self._worker_versions.get(label, 0)
+            )
+            return _Chunk(
+                sessions, counters, {label: (len(sessions), counters)}, warm_s
+            )
 
         # Keep a bounded window of chunks in flight: enough to feed every
         # worker with one chunk of lookahead, without materializing an
         # unbounded stream in the submission queue.
         max_inflight = 2 * self.concurrency
         pending: deque = deque()
-        chunks = 0
-        store_failure = None
-        started = time.perf_counter()
         try:
-            for chunk in _chunked(pairs, self.chunk_size):
-                task = self._task_for(chunks, chunk)
-                chunks += 1
+            for seq, chunk in enumerate(chunks):
+                task = self._task_for(seq, chunk)
                 pending.append(pool.submit(_process_worker_chunk, task))
                 if len(pending) >= max_inflight:
-                    consume(pending.popleft())
+                    yield collect(pending.popleft())
             while pending:
-                consume(pending.popleft())
-        except StoreError as exc:
-            # Infrastructure died mid-run (a worker's master connection,
-            # usually).  Report what completed and re-raise with the
-            # report attached — see BatchReport.store_errors.
-            store_failure = exc
+                yield collect(pending.popleft())
+        finally:
             for future in pending:
                 future.cancel()
-        elapsed = time.perf_counter() - started
-        if progress is not None:
-            progress.finish(rates=hit_rates(), workers=worker_tuples())
-
-        report = BatchReport(
-            tuples=len(sessions),
-            completed=sum(1 for s in sessions if s.completed),
-            incomplete=sum(1 for s in sessions if not s.completed),
-            rounds=sum(s.round_count for s in sessions),
-            chunks=chunks,
-            elapsed=elapsed,
-            concurrency=self.concurrency,
-            chunk_size=self.chunk_size,
-            executor="process",
-            workers=self.concurrency,
-            worker_stats=worker_stats,
-            regions_precomputed=len(engine.regions),
-            chase_memo=MemoStats(*totals["chase"]),
-            suggestion_hits=totals["suggestions"][0],
-            suggestion_misses=totals["suggestions"][1],
-            cache_invalidations=totals["invalidations"],
-            delta_purges=totals["delta_purges"],
-            full_drops=totals["full_drops"],
-            region_rebuilds=totals["region_rebuilds"],
-            master_version=self._safe_store_version(),
-            timings={
-                "region_precompute_s": self._region_precompute_s,
-                "probe_warmup_s": totals["warm_s"],
-            },
-            fixes_by_rule=count_fixes_by_rule(sessions),
-            store_errors=(
-                [str(store_failure)] if store_failure is not None else []
-            ),
-        )
-        if store_failure is not None:
-            store_failure.report = report
-            raise store_failure
-        return BatchResult(sessions=sessions, report=report)
-
-    def _run_threaded(self, pairs: Iterable, progress=None) -> BatchResult:
-        engine = self._engine
-        chase_before = engine.chase_stats.snapshot()
-        invalidations_before = engine.cache_invalidations
-        delta_purges_before = engine.delta_purges
-        full_drops_before = engine.full_drops
-        region_rebuilds_before = engine.region_rebuilds
-        bdd_before = engine.cache_stats
-        bdd_hits0 = bdd_before.hits if bdd_before is not None else 0
-        bdd_misses0 = bdd_before.misses if bdd_before is not None else 0
-
-        def hit_rates() -> dict:
-            rates = {
-                "chase": engine.chase_stats.delta(chase_before).hit_rate,
-            }
-            sugg = engine.cache_stats
-            if sugg is not None:
-                hits = sugg.hits - bdd_hits0
-                misses = sugg.misses - bdd_misses0
-                if hits or misses:
-                    rates["suggest"] = _rate(hits, misses)
-            return rates
-
-        sessions: list = []
-        worker_stats: dict = {}
-        chunks = 0
-        store_failure = None
-        pool = (
-            ThreadPoolExecutor(max_workers=self.concurrency)
-            if self.concurrency > 1
-            else None
-        )
-        if pool is not None:
-            # Split the shared memo counters by thread, so concurrent
-            # thread runs report per-worker rows just like process runs.
-            engine.enable_thread_stats()
-        started = time.perf_counter()
-        try:
-            for chunk in _chunked(pairs, self.chunk_size):
-                chunks += 1
-                if pool is not None:
-                    def monitored(pair, _seq=chunks):
-                        session = engine.fix(*pair)
-                        engine.note_thread_session(_seq)
-                        return session
-
-                    chunk_sessions = list(pool.map(monitored, chunk))
-                else:
-                    chunk_sessions = [
-                        engine.fix(row, oracle) for row, oracle in chunk
-                    ]
-                for offset, session in enumerate(chunk_sessions):
-                    if not session.completed and self.on_incomplete == "raise":
-                        raise IncompleteFix(
-                            session, index=len(sessions) + offset
-                        )
-                sessions.extend(chunk_sessions)
-                if progress is not None:
-                    progress.advance(len(chunk_sessions), rates=hit_rates())
-        except StoreError as exc:
-            # Infrastructure died mid-run; report what completed and
-            # re-raise with the report attached (BatchReport.store_errors).
-            store_failure = exc
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-                # Labels are assigned in first-lookup order, so they are
-                # stable for a given interleaving but not across runs.
-                for index, stats in enumerate(
-                    engine.drain_thread_stats().values(), start=1
-                ):
-                    stats.pop("_chunk", None)
-                    worker_stats[f"thread-{index}"] = stats
-        elapsed = time.perf_counter() - started
-        if progress is not None:
-            progress.finish(
-                rates=hit_rates(),
-                workers={
-                    worker: stats["tuples"]
-                    for worker, stats in worker_stats.items()
-                } or None,
-            )
-
-        bdd_after = engine.cache_stats
-        report = BatchReport(
-            tuples=len(sessions),
-            completed=sum(1 for s in sessions if s.completed),
-            incomplete=sum(1 for s in sessions if not s.completed),
-            rounds=sum(s.round_count for s in sessions),
-            chunks=chunks,
-            elapsed=elapsed,
-            concurrency=self.concurrency,
-            chunk_size=self.chunk_size,
-            executor="thread",
-            workers=self.concurrency,
-            worker_stats=worker_stats,
-            regions_precomputed=len(engine.regions),
-            chase_memo=engine.chase_stats.delta(chase_before),
-            suggestion_hits=(
-                bdd_after.hits - bdd_hits0 if bdd_after is not None else 0
-            ),
-            suggestion_misses=(
-                bdd_after.misses - bdd_misses0 if bdd_after is not None else 0
-            ),
-            cache_invalidations=(
-                engine.cache_invalidations - invalidations_before
-            ),
-            delta_purges=engine.delta_purges - delta_purges_before,
-            full_drops=engine.full_drops - full_drops_before,
-            region_rebuilds=engine.region_rebuilds - region_rebuilds_before,
-            master_version=self._safe_store_version(),
-            timings={
-                "region_precompute_s": self._region_precompute_s,
-                "probe_warmup_s": 0.0,
-            },
-            fixes_by_rule=count_fixes_by_rule(sessions),
-            store_errors=(
-                [str(store_failure)] if store_failure is not None else []
-            ),
-        )
-        if store_failure is not None:
-            store_failure.report = report
-            raise store_failure
-        return BatchResult(sessions=sessions, report=report)
 
     def run_dirty(self, dirty_tuples: Iterable, progress=None) -> BatchResult:
         """Monitor a :class:`repro.datasets.dirty.DirtyDataset` (or any

@@ -1,11 +1,16 @@
 """Batch repair engine: shared caches, memoization, determinism, reporting."""
 
+import io
+import re
+import sys
+
 import pytest
 
 from repro.engine.csvio import relation_to_csv
 from repro.engine.relation import Relation
 from repro.engine.tuples import Row
 from repro.repair.batch import BatchRepairEngine, BatchReport, MemoStats
+from repro.obs import ProgressReporter
 from repro.repair.certainfix import CertainFix, IncompleteFix
 from repro.repair.oracle import SimulatedUser
 
@@ -189,6 +194,31 @@ def test_concurrent_batch_with_bdd_produces_certain_fixes(hosp, hosp_dirty):
     assert result.report.completed == len(hosp_dirty)
     for session, dt in zip(result.sessions, hosp_dirty):
         assert session.final == dt.clean
+
+
+def test_per_thread_counters_lose_no_update_under_switching(hosp, hosp_dirty):
+    # Memo counters are bumped without a lock, one record per thread.
+    # With eight threads on a tiny switch interval, the run must still
+    # count exactly the memo lookups the sequential run counts, and the
+    # per-worker rows must add up to the totals.
+    def run(concurrency):
+        batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                                  use_bdd=False, concurrency=concurrency,
+                                  chunk_size=3)
+        return batch.run_dirty(hosp_dirty).report
+
+    sequential = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.chase_memo.lookups == sequential.chase_memo.lookups
+    rows = threaded.worker_stats.values()
+    assert sum(r["chase_hits"] for r in rows) == threaded.chase_memo.hits
+    assert sum(r["chase_misses"] for r in rows) == threaded.chase_memo.misses
+    assert sum(r["tuples"] for r in rows) == len(hosp_dirty)
 
 
 # -- chunked / streaming execution -------------------------------------------
@@ -403,6 +433,40 @@ def test_sequential_run_reports_no_worker_stats(hosp, hosp_dirty):
     report = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema) \
         .run_dirty(hosp_dirty).report
     assert report.worker_stats == {}
+
+
+def test_thread_heartbeats_carry_per_worker_counts(hosp, hosp_dirty):
+    sink = io.StringIO()
+    progress = ProgressReporter(label="batch", interval=0, stream=sink)
+    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                              concurrency=2, chunk_size=5)
+    batch.run_dirty(hosp_dirty, progress=progress)
+    heartbeats = sink.getvalue().splitlines()
+    assert len(heartbeats) == -(-len(hosp_dirty) // 5) + 1  # + finish
+    assert all("thread-" in line for line in heartbeats)
+
+
+def test_first_heartbeat_rate_counts_the_first_chunk(hosp, hosp_dirty):
+    # A fake clock that ticks one second per tuple pulled from the stream:
+    # every heartbeat, the first included, must read 1.0 tuples/s, and the
+    # final line must cover the whole stream.
+    now = [0.0]
+
+    def stream():
+        for dt in list(hosp_dirty)[:20]:
+            now[0] += 1.0
+            yield dt.dirty, SimulatedUser(dt.clean)
+
+    sink = io.StringIO()
+    progress = ProgressReporter(label="batch", interval=0, stream=sink,
+                                clock=lambda: now[0])
+    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                              chunk_size=5)
+    batch.run(stream(), progress=progress)
+    heartbeats = sink.getvalue().splitlines()
+    assert len(heartbeats) == 5
+    assert all(re.search(r"\| 1\.0 tuples/s", line) for line in heartbeats)
+    assert "done in 20.00s" in heartbeats[-1]
 
 
 def test_report_timings_in_dict_and_describe(hosp, hosp_dirty):

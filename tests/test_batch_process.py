@@ -66,6 +66,26 @@ def test_process_matches_sequential_hosp(hosp, hosp_dirty):
         assert 0.0 <= stats["chase_hit_rate"] <= 1.0
 
 
+def test_thread_and_process_reports_have_one_shape(hosp, hosp_dirty):
+    reports = {}
+    for executor in ("thread", "process"):
+        with BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                               executor=executor, concurrency=2,
+                               chunk_size=5) as batch:
+            reports[executor] = batch.run_dirty(hosp_dirty).report.to_dict()
+    thread, process = reports["thread"], reports["process"]
+    assert set(thread) == set(process)
+    row_keys = {
+        executor: {key for row in payload["worker_stats"].values()
+                   for key in row}
+        for executor, payload in reports.items()
+    }
+    assert row_keys["thread"] and row_keys["thread"] == row_keys["process"]
+    for payload in (thread, process):
+        assert sum(row["tuples"] for row in payload["worker_stats"].values()) \
+            == len(hosp_dirty)
+
+
 def test_process_matches_sequential_running_example(example):
     workload = []
     for key, item in (("s1", "CD"), ("s2", "BOOK")):
