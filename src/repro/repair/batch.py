@@ -66,7 +66,7 @@ import operator
 import os
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -377,14 +377,6 @@ class _MemoCertainFix(CertainFix):
         if tally is None:
             tally = self._tallies.setdefault(ident, EngineCounters())
         return tally
-
-    def thread_counters(self) -> dict:
-        """``{thread ident: EngineCounters}``, copies of each thread's
-        memo counters."""
-        return {
-            ident: replace(tally)
-            for ident, tally in list(self._tallies.items())
-        }
 
     def counters(self) -> EngineCounters:
         """Snapshot of every counter a :class:`BatchReport` carries."""
@@ -894,10 +886,10 @@ class BatchRepairEngine:
         def worker_tuples() -> dict:
             return {label: row[1] for label, row in workers.items()}
 
+        monitored = self._monitor(_chunked(pairs, self.chunk_size))
         started = time.perf_counter()
         if progress is not None:
             progress.start()
-        monitored = self._monitor(_chunked(pairs, self.chunk_size))
         try:
             for chunk in monitored:
                 for offset, session in enumerate(chunk.sessions):
@@ -970,9 +962,13 @@ class BatchRepairEngine:
 
     def _monitor(self, chunks):
         """Monitor *chunks* on this run's executor; yields a
-        :class:`_Chunk` per chunk, in stream order."""
+        :class:`_Chunk` per chunk, in stream order.
+
+        The process pool is built here, eagerly, so a run that starts it
+        does not time the engine spec's store snapshot.
+        """
         if self.executor == "process":
-            return self._monitor_in_processes(chunks)
+            return self._monitor_in_processes(self._ensure_pool(), chunks)
         if self.concurrency > 1:
             return self._monitor_in_threads(chunks)
         return self._monitor_inline(chunks)
@@ -990,33 +986,34 @@ class BatchRepairEngine:
         labels: dict = {}  # thread ident -> "thread-<n>", first-seen order
 
         def monitored(pair):
-            return threading.get_ident(), engine.fix(*pair)
+            # Only this thread writes its record, so the delta is exactly
+            # what this session moved.
+            tally = engine._tally()
+            before = replace(tally)
+            session = engine.fix(*pair)
+            return threading.get_ident(), session, tally - before
 
         with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
             for chunk in chunks:
                 before = engine.counters()
-                tallies = engine.thread_counters()
                 results = list(pool.map(monitored, chunk))
-                after = engine.thread_counters()
-                workers = {
-                    labels.setdefault(ident, f"thread-{len(labels) + 1}"): (
-                        tuples,
-                        after[ident] - tallies.get(ident, EngineCounters()),
+                workers: dict = {}
+                for ident, _, delta in results:
+                    label = labels.setdefault(
+                        ident, f"thread-{len(labels) + 1}"
                     )
-                    for ident, tuples in Counter(
-                        ident for ident, _ in results
-                    ).items()
-                }
+                    tuples, counters = workers.get(
+                        label, (0, EngineCounters())
+                    )
+                    workers[label] = (tuples + 1, counters + delta)
                 yield _Chunk(
-                    [session for _, session in results],
+                    [session for _, session, _ in results],
                     engine.counters() - before,
                     workers,
                 )
 
-    def _monitor_in_processes(self, chunks):
+    def _monitor_in_processes(self, pool, chunks):
         """Fan chunks out to the worker processes; yield in stream order."""
-        pool = self._ensure_pool()
-
         def collect(future) -> _Chunk:
             label, sessions, counters, warm_s, version = future.result()
             self._worker_versions[label] = max(

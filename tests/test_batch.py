@@ -221,6 +221,28 @@ def test_per_thread_counters_lose_no_update_under_switching(hosp, hosp_dirty):
     assert sum(r["tuples"] for r in rows) == len(hosp_dirty)
 
 
+@pytest.mark.parametrize("options", [
+    {"memoize": False},
+    {"validate_uniqueness": False},
+])
+def test_thread_fan_out_without_memo_lookups(hosp, hosp_dirty, options):
+    # With neither a memo lookup nor a BDD suggestion, no thread touches
+    # its counter record during the fix; the per-worker rows must still
+    # be there and add up to the stream.
+    def run(concurrency):
+        batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                                  use_bdd=False, concurrency=concurrency,
+                                  chunk_size=5, **options)
+        return batch.run_dirty(hosp_dirty)
+
+    sequential = run(1)
+    threaded = run(2)
+    _assert_sessions_identical(threaded.sessions, sequential.sessions)
+    rows = threaded.report.worker_stats
+    assert rows and all(label.startswith("thread-") for label in rows)
+    assert sum(r["tuples"] for r in rows.values()) == len(hosp_dirty)
+
+
 # -- chunked / streaming execution -------------------------------------------
 
 
