@@ -17,6 +17,8 @@ A second series pins the executor decision rule on a **CPU-bound oracle
 workload** (:class:`repro.repair.oracle.CpuBoundOracle`: feedback that
 computes its answers): the thread fan-out stays GIL-flat there, while the
 process pool (``executor="process"``) scales with physical cores.  The
+series cuts the stream into two chunks per worker, so every worker of the
+pool gets work and the speedup measures the whole pool.  The
 process assertion (>= ``--min-process-speedup`` over sequential) is only
 enforced when the machine actually has >= 2 usable cores — on a single
 core no executor can beat sequential, and the series then only checks
@@ -96,7 +98,8 @@ def _time_batch(bundle, data, regions, concurrency: int) -> dict:
     return out
 
 
-def _time_cpu_bound(bundle, data, regions, executor, workers, cost):
+def _time_cpu_bound(bundle, data, regions, executor, workers, cost,
+                    chunk_size):
     """One CPU-bound-oracle run; returns (stats dict, fixed rows).
 
     Timing includes engine construction — for the process executor that
@@ -113,7 +116,7 @@ def _time_cpu_bound(bundle, data, regions, executor, workers, cost):
     engine = BatchRepairEngine(
         bundle.rules, bundle.master, bundle.schema,
         regions=regions, use_bdd=False, memoize=True,
-        executor=executor, concurrency=workers,
+        executor=executor, concurrency=workers, chunk_size=chunk_size,
     )
     with engine:
         result = engine.run(pairs)
@@ -185,21 +188,25 @@ def _run_cpu_bound_series(quick: bool, workers: int) -> dict:
     config = ExperimentConfig(dataset="hosp", **scale)
     bundle, data = load_workload(config)
     regions, _ = _precompute_regions(bundle)
+    # Two chunks per worker: with one chunk per run (the engine default
+    # of 256 tuples) a single worker would monitor the whole stream.
+    chunk_size = max(1, len(data) // (2 * workers))
     print(f"[cpu-bound oracle] |Dm|={len(bundle.master)}  |D|={len(data)}  "
-          f"(sha256 chain cost {cost}, {cores} usable core(s))")
+          f"(sha256 chain cost {cost}, chunk size {chunk_size}, "
+          f"{cores} usable core(s))")
 
     sequential, rows_seq = _time_cpu_bound(
-        bundle, data, regions, "thread", 1, cost
+        bundle, data, regions, "thread", 1, cost, chunk_size
     )
     print(f"  sequential       : {sequential['throughput_tps']:8.1f} tuples/s")
     threaded, rows_thr = _time_cpu_bound(
-        bundle, data, regions, "thread", workers, cost
+        bundle, data, regions, "thread", workers, cost, chunk_size
     )
     t_speedup = threaded["throughput_tps"] / sequential["throughput_tps"]
     print(f"  thread (x{workers})      : {threaded['throughput_tps']:8.1f} "
           f"tuples/s  ({t_speedup:.2f}x — GIL-bound)")
     process, rows_proc = _time_cpu_bound(
-        bundle, data, regions, "process", workers, cost
+        bundle, data, regions, "process", workers, cost, chunk_size
     )
     p_speedup = process["throughput_tps"] / sequential["throughput_tps"]
     print(f"  process (x{workers})     : {process['throughput_tps']:8.1f} "
@@ -215,6 +222,7 @@ def _run_cpu_bound_series(quick: bool, workers: int) -> dict:
         "master_size": len(bundle.master),
         "input_size": len(data),
         "oracle_cost": cost,
+        "chunk_size": chunk_size,
         "usable_cores": cores,
         "sequential": sequential,
         f"thread_x{workers}": threaded,

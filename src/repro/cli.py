@@ -305,7 +305,6 @@ def _cmd_batch_repair(args) -> int:
             chunk_size=args.chunk_size,
             executor=args.executor,
             concurrency=args.workers,
-            mp_start_method=args.start_method,
             on_incomplete=args.on_incomplete,
             preflight=args.preflight,
             max_rounds=args.max_rounds,
@@ -559,12 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--workers", type=int, default=1,
         help="workers for the chosen executor (default: 1)",
-    )
-    batch.add_argument(
-        "--start-method", choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="with --executor process: the multiprocessing start method "
-             "(default: platform default)",
     )
     batch.add_argument("--max-rounds", type=int, default=12)
     batch.add_argument(

@@ -71,8 +71,8 @@ class Relation:
     def replace_all(self, rows: Iterable, mutation_count: int = None) -> None:
         """Swap in a whole new row list (and optionally the mutation counter).
 
-        The bulk counterpart of ``insert``/``delete`` used by the
-        process-pool resync protocol: cached hash indexes are dropped
+        The bulk counterpart of ``insert``/``delete`` used when a process
+        worker reattaches an in-memory master: cached hash indexes are dropped
         (rebuilt lazily on the next lookup) and the mutation counter either
         advances by one (the default — a replace is one logical mutation)
         or jumps to *mutation_count* verbatim, which is how a worker's

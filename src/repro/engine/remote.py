@@ -17,7 +17,10 @@ over the :class:`~repro.engine.store.MasterStore` seam, pure stdlib:
   a single ``/probe_many`` request; ``probe``, ``probe_ref`` and
   ``probe_many`` derive from it) to amortize round-trips, and
   ``detach()`` / ``reattach()`` so process-pool workers each open their
-  own connection.
+  own connection.  A worker catches up with the parent's stamp through
+  ``adopt_deltas``, which runs the same ``/deltas`` reconciliation as
+  any newer stamp a response carries; when the parent's own journal
+  cannot bridge the gap (after a full drop), the pool is respawned.
 
 **Invalidation** piggybacks on every request: each server response carries
 an ``X-Master-Version`` header, and the moment the client observes a newer
@@ -617,9 +620,6 @@ class RemoteStore(MasterStore):
     """
 
     supports_batched_probes = True
-    #: Workers talk to the same server, so parent mutations reach them
-    #: without row snapshots (the sqlite-file model, over HTTP).
-    shares_storage_across_processes = True
 
     _ITER_BATCH = 512
     #: Preemptively re-open a connection idle longer than this before the
@@ -902,16 +902,6 @@ class RemoteStore(MasterStore):
         self._request("GET", "/version")
         return self._version
 
-    def sync_version(self, version: int) -> None:
-        """Adopt the parent's *version* stamp (process-pool resync hook).
-
-        Data already lives server-side, so — exactly like the sqlite
-        file-backed path — the worker reconciles only its
-        connection-local caches (per-key via ``/deltas`` when the server
-        journal covers the gap); a no-op when the stamp already matches.
-        """
-        self._observe_version(version)
-
     def deltas_since(self, version: int):
         """Mutations strictly after *version*, from the local journal.
 
@@ -927,12 +917,13 @@ class RemoteStore(MasterStore):
     def adopt_deltas(self, deltas, version: int) -> bool:
         """Resync to the parent's *version*; the row data is server-side.
 
-        The shipped list is advisory here — :meth:`sync_version` runs
-        the same fetch-or-drop reconciliation against the server's own
-        journal, which is the source of truth this client mirrors.
+        The shipped list is advisory here: the client runs its usual
+        fetch-or-drop reconciliation against the server's own journal,
+        which is the source of truth it mirrors, exactly as when a
+        response header carries a newer stamp.
         """
-        self.sync_version(version)
-        return True
+        self._observe_version(version)
+        return self._version >= version
 
     def __len__(self) -> int:
         with self._cache_lock:
@@ -1190,5 +1181,5 @@ class RemoteStoreHandle:
             timeout=self.timeout,
             poll_interval=self.poll_interval,
         )
-        store.sync_version(self.version)
+        store._observe_version(self.version)
         return store

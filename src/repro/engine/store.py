@@ -34,8 +34,9 @@ boundary, so stores that can be rehydrated in another process implement
 ``reattach()`` re-opens the backend there — carrying the parent's version
 stamp so the worker's derived caches line up with the parent's version
 stream.  The batch engine's process pool ships one handle per worker via
-the pool initializer and re-syncs per chunk with
-:meth:`InMemoryStore.reset_rows` / :meth:`SqliteStore.sync_version`.
+the pool initializer; a live worker then catches up only through
+:meth:`MasterStore.adopt_deltas`, and the pool is respawned whenever the
+parent's journal cannot bridge the gap.
 
 Delta protocol: dropping *every* derived cache per mutation is correct
 but costs 0.6–1.7s per master update at bench scale, so each local
@@ -55,13 +56,18 @@ memory (one record per mutation) against how far a consumer may lag
 before it pays a full rebuild; the default 256 covers any realistic
 batch-engine lag (consumers resync on the next fix, i.e. within a
 chunk).  :meth:`MasterStore.adopt_deltas` is the worker-side converse:
-apply a parent's delta list instead of reloading a full snapshot,
-returning False when the deltas cannot be applied cleanly (the caller
-then falls back to the snapshot path).
+apply a parent's delta list and land on its stamp, returning False when
+the list cannot be applied cleanly (the batch engine then fails the
+chunk with a typed :class:`StoreError` rather than monitor against a
+diverged master).
+
+:class:`SqliteStore` persists its version in the database file, so a
+reopened file resumes its version stream instead of restarting at 0.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import sqlite3
@@ -356,12 +362,6 @@ class MasterStore(ABC):
 
     # -- process-boundary protocol -------------------------------------------
 
-    #: Whether worker processes reattached from a handle observe this
-    #: store's mutations through shared storage (a database file).  False
-    #: means a resync must ship the rows themselves (see the batch
-    #: engine's per-chunk snapshot protocol).
-    shares_storage_across_processes = False
-
     #: Whether :meth:`probe_batch` is cheaper than a probe loop here (drives
     #: the batch engine's chunk warm-up; pure-RAM backends gain nothing).
     supports_batched_probes = False
@@ -399,11 +399,11 @@ class MasterStore(ABC):
     def adopt_deltas(self, deltas, version: int) -> bool:
         """Apply a parent's delta list and land on its *version* stamp.
 
-        The incremental counterpart of the snapshot resync protocol:
+        The one way a reattached worker store catches up with its parent:
         returns True iff the store's contents now equal the parent's at
         *version*.  False (the default) means the deltas could not be
-        applied cleanly here; the caller must fall back to the full
-        resync path (``reset_rows`` / ``sync_version``).
+        applied cleanly here; the store must then be re-created from a
+        fresh :meth:`detach` handle.
         """
         return False
 
@@ -559,8 +559,8 @@ class InMemoryStore(MasterStore):
         Validates (via :func:`_pending_deltas`) that the list bridges this
         store's stamp to *version* before touching anything, skipping a
         prefix this copy already applied; a delete that misses mid-replay
-        returns False (contents diverged — the caller's snapshot fallback
-        replaces everything, so a partial replay is harmless).
+        returns False (contents diverged — the copy must be discarded and
+        reattached from a fresh handle).
         """
         pending = _pending_deltas(
             deltas, self._relation.mutation_count, version
@@ -581,32 +581,14 @@ class InMemoryStore(MasterStore):
         """Snapshot (schema, rows, version) into a picklable handle.
 
         The snapshot is by value: a worker's reattached copy does NOT see
-        later parent mutations — after a version move the batch engine
-        ships a fresh snapshot with every dispatched chunk until all
-        workers have acknowledged the new stamp (each worker applies it
-        at most once; see ``BatchRepairEngine._task_for``).
+        later parent mutations — it replays them through
+        :meth:`adopt_deltas` (see ``BatchRepairEngine._task_for``).
         """
         return MemoryStoreHandle(
             schema=self.schema,
             rows=tuple(self._relation.iter_rows()),
             version=self.version,
         )
-
-    def reset_rows(self, rows: Iterable, version: int) -> None:
-        """Replace the master contents and jump to the parent's *version*.
-
-        The worker-side half of the snapshot resync protocol: indexes and
-        the store wrapper survive (rebuilt lazily), and the version stamp
-        is taken verbatim from the parent so every derived cache stamped
-        with an older version invalidates on the next compare.
-
-        The journal restarts at *version*: the replacement is a bulk
-        mutation with no per-row deltas, so consumers stamped earlier
-        must full-drop, while deltas recorded after this point replay
-        normally (the reattach + adopt_deltas path relies on that).
-        """
-        self._relation.replace_all(rows, mutation_count=version)
-        self._journal.reset(version)
 
 
 class _ProbeLRU:
@@ -771,11 +753,11 @@ class SqliteStore(MasterStore):
     ):
         """Open (or create) the store and append *rows*.
 
-        An existing database at *path* keeps its rows — reopening a
-        previously-loaded master is the out-of-core workflow — so loaders
-        that treat their row source as the full truth (e.g. the CLI
-        re-streaming a master CSV into the same file) must pass
-        ``fresh=True`` to clear the table first instead of duplicating it.
+        An existing database at *path* keeps its rows and its version —
+        reopening a previously-loaded master is the out-of-core workflow —
+        so loaders that treat their row source as the full truth (e.g. the
+        CLI re-streaming a master CSV into the same file) must pass
+        ``fresh=True`` to replace the table instead of appending to it.
         """
         self._probe_cache = _ProbeLRU(probe_cache_size)
         self._schema = schema
@@ -796,18 +778,21 @@ class SqliteStore(MasterStore):
             f"CREATE TABLE IF NOT EXISTS master "
             f"(rid INTEGER PRIMARY KEY AUTOINCREMENT, {column_defs})"
         )
-        if fresh:
-            self._db.execute("DELETE FROM master")
-        self._count = self._db.execute(
-            "SELECT COUNT(*) FROM master"
-        ).fetchone()[0]
-        self._version = 0
+        # Row count and version from one read snapshot of the file.
+        with self._transaction():
+            self._count = self._db.execute(
+                "SELECT COUNT(*) FROM master"
+            ).fetchone()[0]
+            self._version = self._db.execute(
+                "PRAGMA user_version"
+            ).fetchone()[0]
         self._indexed: set = set()
         self._probe_sql: dict = {}  # (attrs, key count) -> SELECT text
         self._active_cache: dict = {}
         self._journal = _DeltaJournal()
+        self._journal.reset(self._version)
         self.probe_ref_calls = 0
-        self._insert_many(rows)
+        self._insert_many(rows, replace=fresh)
 
     @classmethod
     def from_relation(cls, relation: Relation, path=None, **kwargs) -> "SqliteStore":
@@ -1026,10 +1011,6 @@ class SqliteStore(MasterStore):
 
     supports_batched_probes = True
 
-    @property
-    def shares_storage_across_processes(self) -> bool:
-        return self._path is not None
-
     def detach(self) -> "SqliteStoreHandle":
         """A picklable handle re-opening this database in another process.
 
@@ -1051,43 +1032,6 @@ class SqliteStore(MasterStore):
             version=self._version,
         )
 
-    def sync_version(self, version: int, deltas=None) -> None:
-        """Adopt the parent's *version* after it mutated the shared file.
-
-        The worker-side half of the resync protocol for file-backed
-        stores: the data itself arrives through the database file (every
-        parent mutation is autocommitted), so the worker only needs to
-        refresh its connection-local caches.  When the parent also ships
-        the *deltas* covering the version gap, the refresh is surgical —
-        per-row probe-cache purges and active-set patches instead of a
-        wholesale drop + recount; otherwise (or when the delta list does
-        not bridge the gap) the full drop runs as before.  A no-op when
-        the stamp already matches.
-        """
-        self._guard()
-        with self._lock:
-            if version == self._version:
-                return
-            if deltas is not None and self._sync_deltas(deltas, version):
-                return
-            self._version = version
-            self._probe_cache.clear()
-            self._active_cache.clear()
-            self._journal.reset(version)
-            self._count = self._db.execute(
-                "SELECT COUNT(*) FROM master"
-            ).fetchone()[0]
-
-    def _sync_deltas(self, deltas, version: int) -> bool:
-        """Apply a parent's delta list under the lock; False on any gap."""
-        pending = _pending_deltas(deltas, self._version, version)
-        if pending is None:
-            return False
-        for delta in pending:
-            self._count += 1 if delta.op == "insert" else -1
-            self._bump_delta(delta.op, delta.values)
-        return True
-
     # -- delta protocol ------------------------------------------------------
 
     def deltas_since(self, version: int):
@@ -1095,14 +1039,23 @@ class SqliteStore(MasterStore):
             return self._journal.since(version, self._version)
 
     def adopt_deltas(self, deltas, version: int) -> bool:
-        """Resync to the parent's *version*, surgically when possible.
+        """Land a reattached store on the parent's *version* stamp.
 
-        Always succeeds for this backend: the row data lives in the
-        shared database file, so even an unusable delta list just means
-        the full-drop path of :meth:`sync_version` runs instead.
+        The rows arrive through the shared database file (the parent's
+        mutations are committed before it ships the deltas), so replaying
+        a delta only refreshes this connection's caches: per-row
+        probe-cache purges and active-set patches.  Replay never writes
+        the file.  False when the list does not bridge the gap.
         """
-        self.sync_version(version, deltas)
-        return True
+        self._guard()
+        with self._lock:
+            pending = _pending_deltas(deltas, self._version, version)
+            if pending is None:
+                return False
+            for delta in pending:
+                self._count += 1 if delta.op == "insert" else -1
+                self._bump_delta(delta.op, delta.values)
+            return True
 
     # -- mutation ------------------------------------------------------------
 
@@ -1149,35 +1102,55 @@ class SqliteStore(MasterStore):
             f"VALUES ({placeholders})"
         )
 
-    def _insert_many(self, rows: Iterable, chunk: int = 10_000) -> None:
-        """Bulk load inside explicit transactions.
+    @contextlib.contextmanager
+    def _transaction(self):
+        """One transaction (the caller holds the lock, or owns the store)."""
+        self._db.execute("BEGIN")
+        try:
+            yield
+            self._db.execute("COMMIT")
+        except BaseException:
+            self._db.execute("ROLLBACK")
+            raise
+
+    def _persist_version(self) -> None:
+        """Stamp the version this write bumps to into the file
+        (``PRAGMA user_version``), inside the write's transaction so rows
+        and version commit together.  Worker replay never calls it."""
+        self._db.execute(f"PRAGMA user_version = {self._version + 1}")
+
+    def _insert_many(
+        self, rows: Iterable, replace: bool = False, chunk: int = 10_000
+    ) -> None:
+        """Bulk load (after clearing the table when *replace*) in one
+        transaction.
 
         Autocommit pays one journal sync per row, which would turn a large
-        on-disk load into minutes; batching commits keeps the streaming
-        CSV path (the whole point of the out-of-core backend) fast.  One
-        version bump at the end — the load is a single logical mutation.
+        on-disk load into minutes; one commit keeps the streaming CSV path
+        (the whole point of the out-of-core backend) fast.  One version
+        bump at the end — the load is a single logical mutation.
         """
         sql = self._insert_sql()
-        inserted = 0
         rows = iter(rows)
         with self._lock:
-            while True:
-                batch = [
-                    [_encode(v) for v in self._coerce(row).values]
-                    for row in itertools.islice(rows, chunk)
-                ]
-                if not batch:
-                    break
-                self._db.execute("BEGIN")
-                try:
+            removed = self._count if replace else 0
+            inserted = 0
+            with self._transaction():
+                if replace:
+                    self._db.execute("DELETE FROM master")
+                while True:
+                    batch = [
+                        [_encode(v) for v in self._coerce(row).values]
+                        for row in itertools.islice(rows, chunk)
+                    ]
+                    if not batch:
+                        break
                     self._db.executemany(sql, batch)
-                    self._db.execute("COMMIT")
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-                inserted += len(batch)
-            if inserted:
-                self._count += inserted
+                    inserted += len(batch)
+                if removed or inserted:
+                    self._persist_version()
+            if removed or inserted:
+                self._count += inserted - removed
                 self._bump_bulk()
 
     def insert(self, row) -> None:
@@ -1185,7 +1158,9 @@ class SqliteStore(MasterStore):
         row = self._coerce(row)
         encoded = [_encode(v) for v in row.values]
         with self._lock:
-            self._db.execute(self._insert_sql(), encoded)
+            with self._transaction():
+                self._db.execute(self._insert_sql(), encoded)
+                self._persist_version()
             self._count += 1
             # Journal the codec-canonical values (what probes/iteration
             # decode back), not the caller's spelling of them.
@@ -1206,7 +1181,9 @@ class SqliteStore(MasterStore):
             ).fetchone()
             if record is None:
                 return False
-            self._db.execute("DELETE FROM master WHERE rid = ?", record)
+            with self._transaction():
+                self._db.execute("DELETE FROM master WHERE rid = ?", record)
+                self._persist_version()
             self._count -= 1
             self._bump_delta("delete", tuple(_decode(c) for c in encoded))
         return True
@@ -1237,11 +1214,11 @@ class MemoryStoreHandle:
         ``replace_all`` (rather than per-row inserts) so the relation's
         mutation counter lands exactly on the parent's stamp and
         version-stamped caches compare against the parent's version
-        stream, not the reload's.
+        stream, not the reload's; the journal starts at that stamp.
         """
-        store = InMemoryStore.from_rows(self.schema)
-        store.reset_rows(self.rows, self.version)
-        return store
+        relation = Relation(self.schema)
+        relation.replace_all(self.rows, mutation_count=self.version)
+        return InMemoryStore(relation)
 
 
 @dataclass(frozen=True)
@@ -1256,12 +1233,13 @@ class SqliteStoreHandle:
     def reattach(self) -> SqliteStore:
         """Open a fresh connection to the shared database file.
 
-        The reattached store starts at the parent's version stamp;
-        :meth:`SqliteStore.sync_version` moves it when the parent mutates
-        the file mid-batch.  A handle whose database file has vanished
-        raises :class:`StoreUnavailableError` — opening the path anyway
-        would silently hand the worker an *empty* master and turn every
-        certain fix into a user question.
+        The reattached store starts at the version persisted in the file
+        (newer than the handle's when the parent mutated the file after
+        detaching); :meth:`SqliteStore.adopt_deltas` moves it when the
+        parent mutates the file mid-batch.  A handle whose database file
+        has vanished raises :class:`StoreUnavailableError` — opening the
+        path anyway would silently hand the worker an *empty* master and
+        turn every certain fix into a user question.
         """
         if not os.path.exists(self.path):
             raise StoreUnavailableError(
@@ -1270,13 +1248,10 @@ class SqliteStoreHandle:
                 f"master with SqliteStore(schema, rows, path=...) and "
                 f"detach() a fresh handle"
             )
-        store = SqliteStore(
+        return SqliteStore(
             self.schema, path=self.path,
             probe_cache_size=self.probe_cache_size,
         )
-        store._version = self.version
-        store._journal.reset(self.version)
-        return store
 
 
 def as_master_store(master) -> MasterStore:

@@ -46,6 +46,13 @@ rehydrated — certain regions, master indexes and the memo table are rebuilt
 per worker — so expect a per-worker warm-up cost that pays off on streams
 much longer than ``workers × chunk_size``.
 
+Every worker must monitor against exactly the parent's master, and a live
+worker catches up one way: each task carries the parent's version and its
+journal deltas since the newest stamp every worker acked, which a worker
+behind replays through ``adopt_deltas`` (or fails with a ``StoreError``).
+When the journal cannot bridge the gap (window overflow, a bulk load, a
+remote full drop), the chunks in flight drain and the pool is respawned.
+
 Determinism: with ``concurrency=1`` the engine produces sessions identical
 to :meth:`CertainFix.fix_stream` on the same inputs.  With ``concurrency >
 1`` each tuple is still monitored independently; without the BDD cache the
@@ -496,8 +503,8 @@ class EngineSpec:
     the database file in the worker, while an in-memory master ships its
     rows by value.  ``build()`` rehydrates the engine: certain regions,
     master probe indexes and the memo table are rebuilt per worker against
-    the handle's version stamp, so the parent's and every worker's caches
-    sit on one shared version stream.
+    the reattached store's version stamp, so the parent's and every
+    worker's caches sit on one shared version stream.
     """
 
     rules: tuple
@@ -551,22 +558,20 @@ def _warm_chunk_probes(engine, pairs) -> float:
 def _process_worker_chunk(task: tuple) -> tuple:
     """Monitor one chunk in this worker.
 
-    ``task`` is ``(seq, pairs, version, snapshot, deltas)``.  *version* is
-    the parent store's version when the chunk was dispatched; when it
-    differs from this worker's store the master mutated mid-batch, and the
-    worker resyncs before monitoring — preferably by adopting the shipped
-    journal *deltas* (which keeps the worker store's own journal
-    contiguous, so the engine resync right after can purge per-key),
-    falling back to the shipped row *snapshot* for in-memory masters or
-    the shared database file for sqlite (*snapshot* is None) — so a
-    mid-batch master update still invalidates every worker's
-    version-stamped caches.
+    ``task`` is ``(seq, pairs, version, deltas)``.  *version* is the
+    parent store's version when the chunk was dispatched; when it is newer
+    than this worker's store the master mutated, and the worker replays
+    the shipped journal *deltas* through ``adopt_deltas`` before
+    monitoring.  That keeps the worker store's own journal contiguous, so
+    the engine resync right after purges per-key.  A list that cannot be
+    replayed raises :class:`StoreError`: monitoring on would read a master
+    other than the parent's.
 
     Returns ``(worker label, sessions, counter delta, warm_s,
     store_version)``; the store version is the ack that lets the parent
-    stop attaching snapshots once every worker holds the new stamp.
+    stop shipping deltas once every worker holds the new stamp.
     """
-    seq, pairs, version, snapshot, deltas = task
+    seq, pairs, version, deltas = task
     engine = _WORKER_ENGINE
     store = engine.store
     before = engine.counters()
@@ -574,11 +579,12 @@ def _process_worker_chunk(task: tuple) -> tuple:
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
     if version > store.version:
-        if not (deltas is not None and store.adopt_deltas(deltas, version)):
-            if snapshot is not None:
-                store.reset_rows(snapshot, version)
-            else:
-                store.sync_version(version)
+        if not store.adopt_deltas(deltas, version):
+            raise StoreError(
+                f"worker pid-{os.getpid()} cannot replay the master deltas "
+                f"from version {store.version} to {version}; the next run "
+                f"starts a fresh process pool"
+            )
         engine.resync_master()
     warm_s = 0.0
     if store.supports_batched_probes:
@@ -737,7 +743,6 @@ class BatchRepairEngine:
         self._pool_version = None  # newest version every worker is known
         #                            to hold (starts at the spec's stamp)
         self._worker_versions = {}  # worker label -> last acked version
-        self._snapshot_cache = None  # (version, rows) for in-memory resync
         # Precompute everything shareable up front so run() never pays
         # per-session setup: regions (CertainFix builds master indexes in
         # its own constructor already).  Timed: every run's report carries
@@ -789,11 +794,12 @@ class BatchRepairEngine:
     def close(self) -> None:
         """Shut the process pool down (no-op for the thread executor).
 
-        The engine stays usable: the next process run builds a fresh pool
-        (workers re-warm from the then-current master state).
+        Chunks still queued are cancelled.  The engine stays usable: the
+        next process run builds a fresh pool (workers re-warm from the
+        then-current master state).
         """
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             self._pool_version = None
             self._worker_versions = {}
@@ -805,44 +811,27 @@ class BatchRepairEngine:
         self.close()
 
     def _task_for(self, seq: int, chunk: list) -> tuple:
-        """Build one worker task, attaching the master-resync payload.
+        """Build one worker task: ``(seq, chunk, version, deltas)``.
 
-        Every task carries the parent store's current version.  When it is
-        newer than ``_pool_version`` (the newest stamp every worker is
-        known to hold) and the backend does not share storage across
-        processes (in-memory masters), the task also ships a row snapshot
-        so whichever worker picks it up can rebuild — workers skip the
-        resync when their stamp already matches, and once all
-        ``concurrency`` workers have acked the new stamp through their
-        chunk results, ``_pool_version`` catches up and snapshots stop
-        shipping (a late-spawning worker rehydrates from the original
-        spec, so the ack must come from every worker, not just the ones
-        seen so far).
+        *deltas* are the parent's journal records since ``_pool_version``,
+        the newest stamp every worker is known to hold; a worker already
+        past it skips the prefix it applied.  Once all ``concurrency``
+        workers have acked the current version through their chunk
+        results, ``_pool_version`` catches up and tasks ship ``()`` (a
+        late-spawning worker rehydrates from the original spec, so the ack
+        must come from every worker, not just the ones seen so far).
+        *deltas* is ``None`` when the journal cannot bridge the gap; the
+        caller then respawns the pool.
         """
         store = self._engine.store
         version = store.version
-        snapshot = None
-        deltas = None
         if version != self._pool_version:
             acked = sum(
                 1 for v in self._worker_versions.values() if v >= version
             )
             if acked >= self.concurrency:
                 self._pool_version = version
-            else:
-                # Ship the journal gap alongside: a worker that can adopt
-                # the deltas resyncs per-key (and its engine then purges
-                # per-key too) instead of replacing its whole store state.
-                # None when the journal cannot vouch for the gap — workers
-                # then use the snapshot / shared-file fallback.  A worker
-                # already past _pool_version skips the prefix it applied.
-                deltas = store.deltas_since(self._pool_version)
-                if not store.shares_storage_across_processes:
-                    if self._snapshot_cache is None or \
-                            self._snapshot_cache[0] != version:
-                        self._snapshot_cache = (version, tuple(store))
-                    snapshot = self._snapshot_cache[1]
-        return (seq, chunk, version, snapshot, deltas)
+        return (seq, chunk, version, store.deltas_since(self._pool_version))
 
     # -- execution -------------------------------------------------------------
 
@@ -968,7 +957,8 @@ class BatchRepairEngine:
         does not time the engine spec's store snapshot.
         """
         if self.executor == "process":
-            return self._monitor_in_processes(self._ensure_pool(), chunks)
+            self._ensure_pool()
+            return self._monitor_in_processes(chunks)
         if self.concurrency > 1:
             return self._monitor_in_threads(chunks)
         return self._monitor_inline(chunks)
@@ -1012,32 +1002,56 @@ class BatchRepairEngine:
                     workers,
                 )
 
-    def _monitor_in_processes(self, pool, chunks):
-        """Fan chunks out to the worker processes; yield in stream order."""
-        def collect(future) -> _Chunk:
+    def _monitor_in_processes(self, chunks):
+        """Fan chunks out to the worker processes; yield in stream order.
+
+        A chunk whose task cannot carry the deltas to the workers' stamp
+        first drains the chunks in flight, then respawns the pool at the
+        current version; that chunk's counters report the respawn as one
+        cache invalidation and one full drop.
+        """
+        def collect(entry) -> _Chunk:
+            future, respawn = entry
             label, sessions, counters, warm_s, version = future.result()
             self._worker_versions[label] = max(
                 version, self._worker_versions.get(label, 0)
             )
             return _Chunk(
-                sessions, counters, {label: (len(sessions), counters)}, warm_s
+                sessions, counters + respawn,
+                {label: (len(sessions), counters)}, warm_s,
             )
 
         # Keep a bounded window of chunks in flight: enough to feed every
         # worker with one chunk of lookahead, without materializing an
         # unbounded stream in the submission queue.
         max_inflight = 2 * self.concurrency
-        pending: deque = deque()
+        pending: deque = deque()  # (future, respawn counters)
         try:
             for seq, chunk in enumerate(chunks):
                 task = self._task_for(seq, chunk)
-                pending.append(pool.submit(_process_worker_chunk, task))
+                respawn = EngineCounters()
+                if task[3] is None:  # no deltas reach the workers' stamp
+                    while pending:
+                        yield collect(pending.popleft())
+                    self.close()
+                    self._ensure_pool()
+                    respawn = EngineCounters(
+                        cache_invalidations=1, full_drops=1
+                    )
+                    task = self._task_for(seq, chunk)
+                future = self._pool.submit(_process_worker_chunk, task)
+                pending.append((future, respawn))
                 if len(pending) >= max_inflight:
                     yield collect(pending.popleft())
             while pending:
                 yield collect(pending.popleft())
+        except StoreError:
+            # A worker that failed may hold a master other than the
+            # parent's; the next run starts from a fresh pool.
+            self.close()
+            raise
         finally:
-            for future in pending:
+            for future, _ in pending:
                 future.cancel()
 
     def run_dirty(self, dirty_tuples: Iterable, progress=None) -> BatchResult:

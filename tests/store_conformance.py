@@ -22,14 +22,14 @@ This module captures that contract once, as a suite any backend inherits:
   stamps fallen out of the journal window) — the contract the
   delta-aware cache invalidation of the repair layer rests on;
 * process protocol — ``detach()``/``reattach()`` round-trips rows and the
-  version stamp, and a parent mutation reaches the clone through the
-  backend's resync hook (snapshot or incremental via ``adopt_deltas``).
+  version stamp, and a parent mutation reaches the clone through
+  ``adopt_deltas`` alone, the one way a batch-engine worker catches up.
 
 Usage: subclass :class:`StoreConformance` in a ``test_*.py`` module and
 provide the ``store`` fixture (a fresh backend loaded with
 ``conformance_rows(self.schema())``).  Backends with extra setup override
-the hooks (``resync``, ``supports_detach``).  A fourth backend gets ~20
-contract tests for free::
+the hooks (``supports_detach``, ``cleanup_clone``, ``lie_probe_many``).  A
+fourth backend gets ~20 contract tests for free::
 
     class TestMyStoreConformance(StoreConformance):
         @pytest.fixture
@@ -89,15 +89,6 @@ class StoreConformance:
         )
 
     # -- backend hooks -------------------------------------------------------
-
-    def resync(self, parent: MasterStore, clone: MasterStore) -> None:
-        """Propagate *parent*'s mutations to a reattached *clone*.
-
-        Backends sharing storage across processes adopt the stamp
-        (``sync_version``); snapshot backends ship the rows.  Override to
-        match; the default covers the shared-storage shape.
-        """
-        clone.sync_version(parent.version)
 
     def cleanup_clone(self, clone: MasterStore) -> None:
         """Release a reattached clone (override when clones hold handles)."""
@@ -532,21 +523,5 @@ class StoreConformance:
             assert clone.version == store.version
             assert clone.probe(("k",), ("d",)) == \
                 store.probe(("k",), ("d",))
-        finally:
-            self.cleanup_clone(clone)
-
-    def test_reattached_clone_follows_parent_mutation(self, store):
-        if not self.supports_detach:
-            pytest.skip("backend refuses detach()")
-        schema = self.schema()
-        handle = store.detach()
-        clone = handle.reattach()
-        try:
-            late = Row(schema, ("late", "z", 99))
-            store.insert(late)
-            self.resync(store, clone)
-            assert clone.version == store.version
-            assert list(clone) == list(store)
-            assert clone.probe(("k",), ("late",)) == (late,)
         finally:
             self.cleanup_clone(clone)

@@ -2,16 +2,21 @@
 
 These tests exercise the ``executor="process"`` fan-out end to end:
 workers rehydrate the engine from a pickled :class:`EngineSpec`, chunks
-are merged in submission order, and mid-batch master mutations reach the
-workers through the version-stamp resync protocol (row snapshots for
-in-memory masters, the shared database file for sqlite).
+are merged in submission order, and master mutations reach live workers
+one way — the parent's journal deltas, replayed through ``adopt_deltas``
+— or, when the journal cannot bridge the gap, through a respawned pool.
 """
 
 import multiprocessing
 
 import pytest
 
-from repro.engine.store import SqliteStore
+from repro.engine.store import (
+    DEFAULT_DELTA_WINDOW,
+    SqliteStore,
+    StoreDelta,
+    StoreError,
+)
 from repro.engine.tuples import Row
 from repro.repair.batch import BatchRepairEngine, EngineSpec
 from repro.repair.certainfix import CertainFix
@@ -198,10 +203,10 @@ def test_sqlite_master_update_reaches_live_workers(tmp_path, hosp,
     store.close()
 
 
-def test_snapshot_shipping_stops_after_all_workers_ack(hosp, hosp_dirty):
-    """After a mutation, in-memory row snapshots ride along with chunk
-    tasks only until every worker has acked the new version stamp; then
-    the parent's _pool_version catches up and tasks go back to slim."""
+def test_tasks_carry_no_deltas_once_every_worker_acked(hosp, hosp_dirty):
+    """After a mutation, journal deltas ride along with chunk tasks only
+    until every worker has acked the new version stamp; then the parent's
+    _pool_version catches up and tasks carry an empty delta list."""
     from repro.engine.relation import Relation
 
     data = list(hosp_dirty)
@@ -210,14 +215,111 @@ def test_snapshot_shipping_stops_after_all_workers_ack(hosp, hosp_dirty):
                            use_bdd=False, executor="process",
                            concurrency=2, chunk_size=3) as batch:
         batch.run(_pairs(data))
+        assert batch._task_for(0, [])[3] == ()
         victim = master.row_at(0)
         assert batch.store.delete(victim)
         batch.store.insert(victim)
-        # Freshly mutated: the next task must carry the snapshot.
-        assert batch._task_for(0, [])[3] is not None
+        # Freshly mutated: the next task carries the delete+insert pair.
+        assert [d.op for d in batch._task_for(0, [])[3]] \
+            == ["delete", "insert"]
         batch.run(_pairs(data))  # every worker processes chunks and acks
-        assert batch._task_for(0, [])[3] is None
+        assert batch._task_for(0, [])[3] == ()
         assert batch._pool_version == batch.store.version
+
+
+def _assert_respawn_matches_sequential(batch, master, data, rules, schema):
+    """Run *data* on *batch*; its rows must equal a sequential CertainFix
+    on *master* and the run must report the pool respawn as one drop."""
+    result = batch.run(_pairs(data))
+    assert result.report.full_drops == 1
+    assert result.report.cache_invalidations == 1
+    assert result.report.master_version == batch.store.version
+    assert batch._pool_version == batch.store.version
+    reference = CertainFix(rules, master, schema, use_bdd=False)
+    assert result.final_rows == [
+        s.final for s in reference.fix_stream(_pairs(data))
+    ]
+
+
+def test_window_overflow_respawns_the_pool(hosp, hosp_dirty):
+    """More inserts between runs than the journal window holds: no delta
+    list reaches the workers' stamp, so the pool is respawned."""
+    import random
+
+    from repro.engine.relation import Relation
+
+    data = list(hosp_dirty)
+    master = Relation(hosp.schema, hosp.master.iter_rows())
+    rng = random.Random(11)
+    with BatchRepairEngine(hosp.rules, master, hosp.schema,
+                           use_bdd=False, executor="process",
+                           concurrency=2, chunk_size=5) as batch:
+        batch.run(_pairs(data))
+        stamp = batch.store.version
+        for _ in range(DEFAULT_DELTA_WINDOW + 1):
+            batch.store.insert(hosp.entity_factory(rng))
+        assert batch.store.deltas_since(stamp) is None
+        _assert_respawn_matches_sequential(
+            batch, master, data, hosp.rules, hosp.schema
+        )
+
+
+def test_sqlite_fresh_reload_respawns_the_pool(tmp_path, hosp, hosp_dirty):
+    """A bulk reload of the master file (the load ``fresh=True`` runs)
+    journals no per-row deltas, so the pool is respawned."""
+    import random
+
+    data = list(hosp_dirty)
+    store = SqliteStore.from_relation(hosp.master,
+                                      path=tmp_path / "master.db")
+    rng = random.Random(12)
+    rows = list(hosp.master.iter_rows())[1:] + [
+        hosp.entity_factory(rng) for _ in range(3)
+    ]
+    with BatchRepairEngine(hosp.rules, store, hosp.schema,
+                           use_bdd=False, executor="process",
+                           concurrency=2, chunk_size=5) as batch:
+        batch.run(_pairs(data))
+        stamp = store.version
+        store._insert_many(rows, replace=True)
+        assert list(store) == rows
+        assert store.deltas_since(stamp) is None
+        _assert_respawn_matches_sequential(
+            batch, store, data, hosp.rules, hosp.schema
+        )
+    store.close()
+
+
+def test_failed_worker_replay_fails_the_run_and_the_pool(hosp, hosp_dirty,
+                                                         monkeypatch):
+    """A worker that cannot replay the shipped deltas (here: a delete of a
+    row it never had) fails the run with a typed StoreError instead of
+    monitoring on; the pool is shut down and the next run starts fresh."""
+    import random
+
+    from repro.engine.relation import Relation
+
+    data = list(hosp_dirty)
+    master = Relation(hosp.schema, hosp.master.iter_rows())
+    ghost = hosp.entity_factory(random.Random(13))
+    with BatchRepairEngine(hosp.rules, master, hosp.schema,
+                           use_bdd=False, executor="process",
+                           concurrency=2, chunk_size=5) as batch:
+        batch.run(_pairs(data))
+        batch.store.insert(ghost)
+        with monkeypatch.context() as patch:
+            patch.setattr(batch.store, "deltas_since", lambda version: (
+                StoreDelta(version + 1, "delete", tuple(ghost.values)),
+            ))
+            with pytest.raises(StoreError, match="cannot replay") as failed:
+                batch.run(_pairs(data))
+        assert failed.value.report.store_errors
+        assert batch._pool is None
+        result = batch.run(_pairs(data))
+    reference = CertainFix(hosp.rules, master, hosp.schema, use_bdd=False)
+    assert result.final_rows == [
+        s.final for s in reference.fix_stream(_pairs(data))
+    ]
 
 
 def test_back_to_back_inserts_never_full_drop_workers(hosp):

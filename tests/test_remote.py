@@ -273,6 +273,38 @@ def test_sqlite_handle_reattach_missing_file_raises_unavailable(
         handle.reattach()
 
 
+def test_client_follows_a_restarted_sqlite_server(tmp_path, schema, rows):
+    """A sqlite-backed server closed at version 7, reopened and updated
+    once: the client must see the update, not keep its cached old row
+    because the reopened store's version looked older than its own."""
+    path = tmp_path / "m.db"
+    store = SqliteStore(schema, rows, path=path)
+    old = rows[1]
+    for _ in range(3):
+        assert store.update(old, old)
+    assert store.version == 7
+    server = MasterServer(store).start()
+    host, port = server.address
+    client = RemoteStore(server.url)
+    try:
+        assert client.version == 7
+        assert client.probe(("k",), ("b",)) == (old,)
+        server.close()
+        store.close()
+
+        store = SqliteStore(schema, path=path)
+        new = old.with_values({"v": "new"})
+        assert store.update(old, new)
+        server = MasterServer(store, host=host, port=port).start()
+        client.probe(("k",), ("zz",))  # any miss carries the new version
+        assert client.probe(("k",), ("b",)) == (new,)
+        assert client.version == store.version
+    finally:
+        client.close()
+        server.close()
+        store.close()
+
+
 def test_sqlite_store_raises_detached_after_close(tmp_path, schema, rows):
     store = SqliteStore(schema, rows, path=tmp_path / "m.db")
     store.close()

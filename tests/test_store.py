@@ -223,6 +223,48 @@ def test_sqlite_existing_path_keeps_rows_unless_fresh(tmp_path, schema, rows):
     rebuilt.close()
 
 
+def test_sqlite_reopen_resumes_the_persisted_version(tmp_path, schema, rows):
+    """The version counter lives in the file, so a reopened store
+    continues its version stream instead of restarting at 0."""
+    path = tmp_path / "master.db"
+    store = SqliteStore(schema, rows, path=path)
+    assert store.update(rows[1], rows[1].with_values({"v": "y2"}))
+    version = store.version
+    assert version == 3
+    store.close()
+    reopened = SqliteStore(schema, path=path)
+    assert reopened.version == version
+    assert reopened.deltas_since(version) == ()
+    reopened.insert(Row(schema, ("d", "z", 9)))
+    assert [d.version for d in reopened.deltas_since(version)] \
+        == [version + 1]
+    reopened.close()
+    # a fresh=True reload is one more bulk mutation, not a reset
+    rebuilt = SqliteStore(schema, rows, path=path, fresh=True)
+    assert rebuilt.version == version + 2
+    assert rebuilt.deltas_since(version + 1) is None
+    rebuilt.close()
+
+
+def test_sqlite_delta_replay_never_writes_the_file(tmp_path, schema, rows):
+    """A reattached clone that replays part of the parent's journal must
+    not stamp its (older) version into the shared file."""
+    path = tmp_path / "master.db"
+    store = SqliteStore(schema, rows, path=path)
+    clone = store.detach().reattach()
+    stamp = store.version
+    store.insert(Row(schema, ("d", "z", 9)))
+    first = store.deltas_since(stamp)
+    store.insert(Row(schema, ("e", "z", 10)))
+    assert clone.adopt_deltas(first, stamp + 1)
+    assert clone.version == stamp + 1
+    clone.close()
+    store.close()
+    reopened = SqliteStore(schema, path=path)
+    assert reopened.version == stamp + 2
+    reopened.close()
+
+
 def test_numeric_keys_probe_identically_across_backends(schema):
     """2 == 2.0 == True as dict keys in the memory backend; the sqlite
     codec must reproduce that, not exact-type them apart."""
@@ -490,23 +532,18 @@ def test_memory_detach_reattach_preserves_rows_and_version(schema, rows):
     # reattached copies are by value: parent mutations stay invisible
     store.insert(Row(schema, ("e", "w", 10)))
     assert len(clone) == len(store) - 1
-    # reset_rows is the per-chunk resync: contents and stamp jump together
-    clone.reset_rows(tuple(store), store.version)
-    assert list(clone) == list(store)
-    assert clone.version == store.version
 
 
 def test_sqlite_detach_reattach_shares_file(tmp_path, schema, rows):
     path = tmp_path / "m.db"
     store = SqliteStore(schema, rows, path=path)
-    assert store.shares_storage_across_processes
     handle = store.detach()
     clone = handle.reattach()
     assert list(clone) == rows
     assert clone.version == store.version
-    # parent writes reach the clone through the file + sync_version
+    # parent writes reach the clone through the file + adopt_deltas
     store.insert(Row(schema, ("d", "z", 9)))
-    clone.sync_version(store.version)
+    assert clone.adopt_deltas(store.deltas_since(clone.version), store.version)
     assert len(clone) == 5
     assert clone.probe(("k",), ("d",)) == (Row(schema, ("d", "z", 9)),)
     clone.close()
@@ -515,7 +552,6 @@ def test_sqlite_detach_reattach_shares_file(tmp_path, schema, rows):
 
 def test_sqlite_memory_detach_refused(schema, rows):
     store = SqliteStore(schema, rows)
-    assert not store.shares_storage_across_processes
     with pytest.raises(ValueError, match="cannot cross a fork/spawn"):
         store.detach()
 

@@ -24,12 +24,6 @@ class TestInMemoryStoreConformance(StoreConformance):
         schema = self.schema()
         return InMemoryStore(Relation(schema, conformance_rows(schema)))
 
-    def resync(self, parent, clone):
-        # Snapshot backend: reattached copies are by value, so the resync
-        # ships the rows along with the stamp (the batch engine's
-        # per-chunk snapshot protocol).
-        clone.reset_rows(tuple(parent), parent.version)
-
 
 class TestSqliteStoreConformance(StoreConformance):
     """Out-of-core file-backed sqlite (shares storage across processes)."""
