@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test conformance differential smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
+.PHONY: test conformance differential invalidation smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -83,6 +83,16 @@ differential:
 	$(PYTHON) -m pytest tests/test_chase_transfix_differential.py \
 		tests/test_chase_fanout.py tests/test_chase_explorer.py \
 		tests/test_property_based.py -q
+
+# Every master-delta consumer against a fresh rebuild: the region guard
+# (kept regions equal a fresh CompCRegion), the shared FootprintIndex
+# both it and the chase memo purge through, and the delta-vs-full-drop
+# equivalence fuzz.  A subset of `test`, named so a divergence in a delta
+# consumer is attributable on its own line (CI step).
+invalidation:
+	$(PYTHON) -m pytest tests/test_region_guard.py \
+		tests/test_footprint_index.py \
+		"tests/test_store_equivalence.py::test_hypothesis_delta_invalidation_matches_full_drop" -q
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and
 # fails if the batch engine loses its >=2x margin over naive fix_stream.

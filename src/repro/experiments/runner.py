@@ -74,7 +74,6 @@ def run_stream(
     initial_region_rank: int = 0,
     regions: list = None,
     engine: CertainFix = None,
-    validate_uniqueness: bool = True,
 ) -> StreamResult:
     """Monitor every dirty tuple of *data* with CertainFix.
 
@@ -90,7 +89,6 @@ def run_stream(
             regions=regions,
             use_bdd=use_bdd,
             initial_region_rank=initial_region_rank,
-            validate_uniqueness=validate_uniqueness,
         )
     sessions = []
     for dirty_tuple in data:

@@ -94,10 +94,7 @@ I208    region-extension          Minimal assured-attribute extension that
 ======  ========================  =========================================
 
 Master-aware results are cached per store keyed on ``(rule fingerprint,
-store version, budgets, region)``; see :mod:`repro.lint.runner`.
-Certification results additionally survive master mutations through the
-delta journal when no delta hits their recorded probe footprints
-(:func:`repro.lint.certify.certification_cache_info`).  Fix-its
+store version, budgets, region)``; see :mod:`repro.lint.runner`.  Fix-its
 (``remove_rule`` from W103/W104/W108, ``extend_region`` from I208) are
 applied by ``repro lint --fix`` via :mod:`repro.lint.fixit`.
 """
@@ -121,11 +118,7 @@ from repro.lint.registry import (
 # before certify registers E205/W206/I208.
 from repro.lint import master_aware, structural  # noqa: F401  (registration)
 from repro.lint import certify  # noqa: F401  (registration)
-from repro.lint.certify import (
-    Certification,
-    certification_cache_info,
-    certification_for,
-)
+from repro.lint.certify import Certification, certification_for
 from repro.lint.fixit import FixitResult, apply_fixits
 from repro.lint.runner import (
     PREFLIGHT_MODES,
@@ -147,7 +140,6 @@ __all__ = [
     "MASTER",
     "registered_passes",
     "Certification",
-    "certification_cache_info",
     "certification_for",
     "FixitResult",
     "apply_fixits",

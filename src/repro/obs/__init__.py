@@ -19,8 +19,10 @@ the :mod:`repro.obs.render` functions to expose.
 Enable-before-build: long-lived engines read the global registry when they
 record, so ``enable()`` takes effect immediately, even for engines built
 earlier.  Process-pool workers each record into their *own* process's
-registry; merge their picklable snapshots with
-:meth:`MetricsSnapshot.merge` (associative, like ``MemoStats``).
+registry, and nothing ships those series back: the parent's registry sees
+only what the parent recorded.  A batch run's counters (memo hits, delta
+purges, region rebuilds) reach the parent through its ``BatchReport``
+instead; bringing worker spans back is ROADMAP item 3.
 
 Metric and span reference (mirroring the ``repro.lint`` diagnostic table)
 -------------------------------------------------------------------------
@@ -46,8 +48,6 @@ repro_lint_budget_exhausted_total     counter    code                        cer
                                                                              exact region check degraded to the sampled
                                                                              fallback, I208 = extension search went
                                                                              closure-level)
-repro_lint_certify_cache_total        counter    result                      certification cache outcomes (hit, miss,
-                                                                             delta_kept, recompute, full_drop)
 repro_remote_request_seconds          histogram  endpoint                    ``RemoteStore`` HTTP request span (client side)
 repro_remote_requests_total           counter    endpoint, status            ``RemoteStore`` request outcomes (status=ok|error)
 repro_remote_reconnects_total         counter    —                           client connections re-opened

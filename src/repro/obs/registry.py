@@ -8,11 +8,12 @@ this registry only while observability is enabled and to the shared
 reads and no allocation, so instrumented code keeps its benchmarked
 throughput when nobody is looking.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data and picklable:
-the batch engine's process-pool workers each snapshot their private
-registry and the parent merges them with :meth:`MetricsSnapshot.merge`,
-which is associative — exactly the discipline ``MemoStats`` already
-follows for the memo table.
+Snapshots (:meth:`MetricsRegistry.snapshot`) are plain-data and picklable,
+and :meth:`MetricsSnapshot.merge` combines two associatively.  Nothing in
+the program merges worker snapshots yet: a process-pool worker records
+into its own registry, and those series never reach the parent (a batch
+run's counters reach it through ``BatchReport``; bringing worker spans
+back is ROADMAP item 3).
 """
 
 from __future__ import annotations

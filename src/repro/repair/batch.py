@@ -109,12 +109,6 @@ class MemoStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def delta(self, earlier: "MemoStats") -> "MemoStats":
-        return MemoStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-        )
-
 
 @dataclass
 class EngineCounters:
@@ -675,7 +669,7 @@ class BatchRepairEngine:
         refusing provably inconsistent programs before any repair runs.
     engine_options:
         Forwarded to the underlying :class:`CertainFix` (``max_rounds``,
-        ``max_revisions``, ``validate_uniqueness``, ...).
+        ``max_revisions``, ``collect_provenance``, ...).
 
     A process pool is created lazily on the first ``run()`` and reused
     across runs (workers keep their warmed caches); call :meth:`close` (or

@@ -16,7 +16,7 @@ and appends it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
@@ -25,6 +25,9 @@ from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
 from repro.repair.suggest import Suggestion, applicable_rules, suggest
+
+#: Longest false-chain walked before a miss computes a fresh suggestion.
+MAX_CHAIN = 16
 
 
 @dataclass
@@ -56,24 +59,19 @@ class SuggestionCache:
     when the backing :class:`~repro.engine.store.MasterStore` moves to a new
     version the owner must call :meth:`invalidate` (the repair engines do
     this automatically from their version-sync hook).
+
+    ``pattern_cache`` holds the per-rule pattern-probe verdicts
+    (``{rule: holds}``) every fresh suggestion and validity check reads;
+    an owning engine patches it per master delta.
     """
 
-    def __init__(
-        self,
-        rules: Sequence,
-        master,
-        schema: RelationSchema,
-        validate_patterns: int = 48,
-        max_chain: int = 16,
-    ):
+    def __init__(self, rules: Sequence, master, schema: RelationSchema):
         self.rules = list(rules)
         self.master = as_master_store(master)
         self.schema = schema
-        self.validate_patterns = validate_patterns
-        self.max_chain = max_chain
         self.stats = CacheStats()
         self._root: _Node = None
-        self._pattern_cache: dict = {}
+        self.pattern_cache: dict = {}
 
     # -- per-tuple traversal -------------------------------------------------
 
@@ -92,7 +90,7 @@ class SuggestionCache:
         keep working — their next step simply misses and recomputes.
         """
         self._root = None
-        self._pattern_cache.clear()
+        self.pattern_cache.clear()
         self.stats.invalidations += 1
 
     # -- validity check ------------------------------------------------------
@@ -105,7 +103,7 @@ class SuggestionCache:
         if not s or s & z:
             return False
         applicable = applicable_rules(
-            self.rules, self.master, row, z, self._pattern_cache
+            self.rules, self.master, row, z, self.pattern_cache
         )
         fixable = {rule.rhs for rule in applicable}
         uncoverable = set(self.schema.attributes) - z - fixable
@@ -121,8 +119,7 @@ class SuggestionCache:
             self.schema,
             row,
             z,
-            pattern_cache=self._pattern_cache,
-            validate_patterns=self.validate_patterns,
+            pattern_cache=self.pattern_cache,
         )
 
 
@@ -147,7 +144,7 @@ class _Cursor:
 
         # Walk the false-chain for a reusable suggestion.
         depth = 0
-        while node is not None and depth < cache.max_chain:
+        while node is not None and depth < MAX_CHAIN:
             if cache._valid_for(node.suggestion, row, z):
                 cache.stats.hits += 1
                 self._position = ("node", node)

@@ -7,8 +7,8 @@ attribute set, validate that the asserted values lead to a unique fix
 everything the rules entail, and compute the next suggestion until every
 attribute of the tuple is validated.  The Theorem 4 chase that decides
 uniqueness has already applied every enabled rule to the fixpoint every
-fix sequence reaches, so the round's fix is read off that unique chase;
-TransFix (Sect. 5.1) runs only when ``validate_uniqueness`` is off.
+fix sequence reaches, so the round's fix is read off that unique chase
+instead of a TransFix (Sect. 5.1) rerun.
 
 ``CertainFix⁺`` is the same driver with the BDD suggestion cache
 (:class:`repro.repair.bdd.SuggestionCache`) replacing fresh Suggest calls.
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.analysis.dependency_graph import DependencyGraph
 from repro.core.fixes import chase
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
@@ -43,7 +42,9 @@ from repro.repair.invalidation import (
 )
 from repro.repair.region_search import comp_c_region
 from repro.repair.suggest import Suggestion, suggest
-from repro.repair.transfix import TransFixResult, transfix
+# ``transfix`` is no longer called here; the module attribute stays
+# because perfbench/tracing.py wraps it by name.
+from repro.repair.transfix import TransFixResult, transfix  # noqa: F401
 
 
 @dataclass
@@ -189,8 +190,6 @@ class CertainFix:
         initial_region_rank: int = 0,
         max_rounds: int = 12,
         max_revisions: int = 3,
-        validate_uniqueness: bool = True,
-        suggest_validate_patterns: int = 48,
         collect_provenance: bool = False,
         delta_invalidation: bool = True,
     ):
@@ -200,21 +199,16 @@ class CertainFix:
         # (and the analyses this engine delegates to) reads through it.
         self.master = self.store
         self.schema = schema
-        self.graph = DependencyGraph(self.rules)
         self.max_rounds = max_rounds
         self.max_revisions = max_revisions
-        self.validate_uniqueness = validate_uniqueness
-        self.suggest_validate_patterns = suggest_validate_patterns
         self._regions = regions
         self._initial_rank = initial_region_rank
-        self._pattern_cache: dict = {}
         self._cache = (
-            SuggestionCache(
-                self.rules, self.store, schema,
-                validate_patterns=suggest_validate_patterns,
-            )
-            if use_bdd
-            else None
+            SuggestionCache(self.rules, self.store, schema) if use_bdd else None
+        )
+        # Per-rule pattern-probe verdicts; with the BDD on, its own dict.
+        self._pattern_cache: dict = (
+            self._cache.pattern_cache if self._cache is not None else {}
         )
         # Guards every version-stamped structure (the version stamp itself
         # and the subclass memo table) against the thread fan-out: teardown
@@ -344,10 +338,9 @@ class CertainFix:
         """Purge per-key for a journal delta batch; True on success.
 
         Regions survive iff the :class:`RegionGuard` proves a rebuild
-        would reproduce them; per-rule pattern caches (the engine's and
-        the BDD's) are patched row by row; BDD nodes are retained because
-        ``_valid_for`` revalidates every cached suggestion against the live
-        master.
+        would reproduce them; the per-rule pattern cache is patched row by
+        row; BDD nodes are retained because ``_valid_for`` revalidates
+        every cached suggestion against the live master.
         Subclasses extend this with footprint-indexed memo purges.
         Runs under ``_memo_guard``; a False return means the caller must
         fall back to :meth:`_drop_master_caches`.
@@ -365,10 +358,6 @@ class CertainFix:
                 result="kept" if kept else "rebuilt",
             )
         patch_pattern_cache(self._pattern_cache, self.rules, deltas, rows)
-        if self._cache is not None:
-            patch_pattern_cache(
-                self._cache._pattern_cache, self.rules, deltas, rows
-            )
         return True
 
     def resync_master(self) -> bool:
@@ -392,8 +381,6 @@ class CertainFix:
         collects the user's assertions, validates them (unique-fix check on
         the concrete pattern ``t[Z' ∪ S]``), applies the fix read off that
         unique chase, and either finishes or computes a new suggestion.
-        TransFix runs only with ``validate_uniqueness=False``, where no
-        chase has computed the fixpoint.
         """
         self._sync_master_version()
         with obs.time_block("repro_fix_seconds"):
@@ -432,26 +419,20 @@ class CertainFix:
             asserted = frozenset(values)
             revisions = 0
 
-            if self.validate_uniqueness:
-                result = self._validated_fix(row, validated | asserted)
-                while result is None:
-                    revisions += 1
-                    if revisions > self.max_revisions:
-                        raise ValidationFailed(
-                            f"assertions on {sorted(asserted)} do not lead "
-                            f"to a unique fix after {revisions - 1} revisions"
-                        )
-                    values = oracle.revise(
-                        row, sug_attrs, "assertions conflict with master data"
+            result = self._validated_fix(row, validated | asserted)
+            while result is None:
+                revisions += 1
+                if revisions > self.max_revisions:
+                    raise ValidationFailed(
+                        f"assertions on {sorted(asserted)} do not lead "
+                        f"to a unique fix after {revisions - 1} revisions"
                     )
-                    row = row.with_values(values)
-                    asserted = asserted | frozenset(values)
-                    result = self._validated_fix(row, validated | asserted)
-            else:
-                result = transfix(
-                    row, validated | asserted, self.rules, self.store,
-                    self.graph,
+                values = oracle.revise(
+                    row, sug_attrs, "assertions conflict with master data"
                 )
+                row = row.with_values(values)
+                asserted = asserted | frozenset(values)
+                result = self._validated_fix(row, validated | asserted)
 
             # Compare against the row as it stood when the round began, so
             # values changed during revision rounds count as corrections too
@@ -551,7 +532,6 @@ class CertainFix:
             row,
             validated,
             pattern_cache=self._pattern_cache,
-            validate_patterns=self.suggest_validate_patterns,
         )
 
     # -- stream helper ----------------------------------------------------------

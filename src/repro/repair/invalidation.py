@@ -16,26 +16,29 @@ consumer-side machinery that turns those deltas into per-key purges:
   which is what lets the region guard re-verify exactly the checks a
   mutated row touched instead of rejecting wholesale.
 * :class:`FootprintIndex` — a reverse index from probe footprints to the
-  memo entries that performed them.  ``affected(rows)`` answers "which
-  entries could a mutated row invalidate?" in time proportional to the
+  derived state that performed them: chase-memo entries of the batch
+  engine and the region guard's pattern checks alike.  ``hits(values)``
+  names the recorded probe keys a mutated row projects onto, and
+  ``affected(rows)`` the entries behind them, in time proportional to the
   number of distinct probed attribute lists, not the number of entries.
 * :class:`RegionGuard` — decides whether the precomputed certain regions
   survive a delta batch *unchanged*, for inserts, deletes and updates
   (which journal as delete+insert) alike.  It proves the fresh rebuild
   would produce the identical region list: no row appears in two deltas
-  of the batch; every examined seed had at least ``validate_patterns``
-  candidate patterns (so patterns projected off an inserted row land
-  beyond the checked window) and no deleted row projects onto a pattern
-  a seed checked (so the window never loses a member); a probe key a
-  changed row falls under either keeps, for every rule probing it, the
-  same set of guard-passing ``rhs_m`` values before and after the batch,
-  or the checks that probed it are re-run against the live master
-  (their good/not-good verdict must not flip); a deleted value that
-  leaves a domain-feeding column re-runs the non-vacuous checks that
-  instantiate over it; and checks whose instantiation choices grow with
-  an inserted row's novel active values are re-verified by chasing
-  exactly the new value combinations.  Anything it cannot prove falls
-  back to a rebuild — the guard only ever skips work, never correctness.
+  of the batch; every examined seed had at least as many candidate
+  patterns as the build's validation window (so patterns projected off
+  an inserted row land beyond the checked window) and no deleted row
+  projects onto a pattern a seed checked (so the window never loses a
+  member); a probe key a changed row falls under either keeps, for every
+  rule probing it, the same set of guard-passing ``rhs_m`` values before
+  and after the batch, or the checks that probed it are re-run against
+  the live master (their good/not-good verdict must not flip); a deleted
+  value that leaves a domain-feeding column re-runs the non-vacuous
+  checks that instantiate over it; and checks whose instantiation
+  choices grow with an inserted row's novel active values are
+  re-verified by chasing exactly the new value combinations.  Anything
+  it cannot prove falls back to a rebuild — the guard only ever skips
+  work, never correctness.
 * :func:`row_supports_pattern` — the per-row body of the pattern-probe
   sweep (``_pattern_holds_on_master``), used to patch cached rule
   eligibility per delta instead of re-sweeping the master.
@@ -162,15 +165,16 @@ class RecordingStore(MasterStore):
 
 
 class FootprintIndex:
-    """Reverse index: master probe footprints → dependent memo entries.
+    """Reverse index: master probe footprints → dependent entries.
 
-    Entries register with :meth:`add` under an opaque key (the memo key)
-    and the footprint set a :class:`RecordingStore` captured while the
-    entry's value was computed.  :meth:`affected` projects a mutated
-    row onto every distinct probed attribute list and collects the
-    entries whose recorded probes the row matches — exactly the entries
-    whose deterministic recompute could observe the mutation.  Not
-    thread-safe; callers hold the owning engine's memo guard.
+    Entries register with :meth:`add` under an opaque key (a chase-memo
+    key, a region guard's ``(seed, check)`` position) and the footprint
+    set a :class:`RecordingStore` captured while the entry's value was
+    computed.  :meth:`hits` projects a mutated row onto every distinct
+    probed attribute list and yields the recorded probe keys it matches;
+    the entries behind them are exactly those whose deterministic
+    recompute could observe the mutation.  Not thread-safe; callers hold
+    the owning engine's memo guard.
     """
 
     def __init__(self, schema: RelationSchema):
@@ -209,21 +213,26 @@ class FootprintIndex:
                 if not owners:
                     del keyed[key]
 
-    def affected(self, rows: Iterable) -> set:
-        """Entries whose recorded probes any of *rows* projects onto.
+    def hits(self, values: Sequence) -> Iterator[tuple]:
+        """``(attrs, key, entries)`` for every recorded probe key the
+        master value tuple *values* (a delta payload) projects onto.
 
-        *rows* are full master value tuples (delta payloads).  Cost per
-        row is one projection + dict lookup per distinct attribute list
-        ever probed — a handful for real rule sets.
+        Cost is one projection + dict lookup per distinct attribute list
+        ever probed — a handful for real rule sets.  *entries* is the
+        live owner set: copy it before mutating the index.
         """
+        for attrs, keyed in self._by_probe.items():
+            key = tuple(values[p] for p in self._positions[attrs])
+            entries = keyed.get(key)
+            if entries:
+                yield attrs, key, entries
+
+    def affected(self, rows: Iterable) -> set:
+        """Entries whose recorded probes any of *rows* projects onto."""
         out: set = set()
         for values in rows:
-            for attrs, keyed in self._by_probe.items():
-                positions = self._positions[attrs]
-                projected = tuple(values[p] for p in positions)
-                owners = keyed.get(projected)
-                if owners:
-                    out.update(owners)
+            for _attrs, _key, entries in self.hits(values):
+                out.update(entries)
         return out
 
     def clear(self) -> None:
@@ -252,7 +261,7 @@ def row_supports_pattern(rule, row: Row) -> bool:
 
 
 def patch_pattern_cache(cache: dict, rules: Sequence, deltas, rows) -> None:
-    """Update a ``{rule.name: holds}`` pattern cache for a delta batch.
+    """Update a ``{rule: holds}`` pattern cache for a delta batch.
 
     Mirrors what a fresh ``_pattern_holds_on_master`` sweep would answer:
     an inserted witness flips a cached False to True; deleting a witness
@@ -261,17 +270,17 @@ def patch_pattern_cache(cache: dict, rules: Sequence, deltas, rows) -> None:
     the cached verdict exact.
     """
     for rule in rules:
-        if rule.name not in cache:
+        if rule not in cache:
             continue
         for delta, row in zip(deltas, rows):
-            cached = cache.get(rule.name)
+            cached = cache.get(rule)
             if cached is None:
                 break  # dropped below; recomputed lazily on next use
             if delta.op == "insert":
                 if not cached and row_supports_pattern(rule, row):
-                    cache[rule.name] = True
+                    cache[rule] = True
             elif cached and row_supports_pattern(rule, row):
-                del cache[rule.name]
+                del cache[rule]
 
 
 class _SnapshotActives:
@@ -292,7 +301,8 @@ class RegionGuard:
     per-check keyed-probe footprints (each ``check_pattern`` call runs
     with a :class:`RecordingStore` sink pushed), per-seed records of how
     many candidate patterns existed and what verdict each checked
-    pattern received (the ``record`` sink of ``comp_c_region``), and a
+    pattern received, plus the build's validation window and
+    instantiation budget (the ``record`` sink of ``comp_c_region``), and a
     snapshot of the master's active values for every column that feeds
     a readable attribute's instantiation domain.  :meth:`absorb` then
     proves, delta batch by delta batch, that a fresh rebuild would
@@ -304,10 +314,10 @@ class RegionGuard:
     1. **batch shape** — no row's values appear in two deltas of the
        batch (an update's delete and insert carry different rows, so
        updates qualify; an insert-then-delete of one row does not);
-    2. **window** — every examined seed saw ≥ ``validate_patterns``
-       candidates, and candidates are generated per master row in
-       insertion order, so patterns projected off an inserted row append
-       beyond the checked window; a deleted row leaves the window intact
+    2. **window** — every examined seed saw at least as many candidates
+       as its validation window, and candidates are generated per master
+       row in insertion order, so patterns projected off an inserted row
+       append beyond the checked window; a deleted row leaves the window intact
        iff none of its projected patterns is one the seed checked (the
        checked prefix of the candidate sequence never came from it);
     3. **probe hits** — the chase reads a probed master row only through
@@ -343,20 +353,17 @@ class RegionGuard:
         store: MasterStore,
         footprints: Iterable,
         seed_records: Sequence,
-        validate_patterns: int = 64,
-        max_instantiations: int = 50_000,
     ):
         self._rules = list(rules)
         self._schema = schema  # the input schema R (region attrs live here)
         self._master_schema = store.schema
-        self._max_instantiations = max_instantiations
         # Mutable copies: check entries become [pattern, verdict, sink]
         # lists so re-verification can refresh verdicts and footprints.
         # ``checked`` and ``options`` serve the delete-window proof.
         self._records = [
             {
                 "z": rec["z"],
-                "candidates": rec["candidates"],
+                "max_instantiations": rec["max_instantiations"],
                 "checks": [list(entry) for entry in rec["checks"]],
                 "checked": frozenset(entry[0] for entry in rec["checks"]),
                 "options": projection_options(rec["z"], self._rules),
@@ -368,12 +375,12 @@ class RegionGuard:
         # window, a pattern projected off an inserted row could enter the
         # checked window and change the build outcome.
         usable = all(
-            rec["candidates"] >= validate_patterns for rec in self._records
+            rec["candidates"] >= rec["validate_patterns"]
+            for rec in seed_records
         )
         # Reverse probe index: footprint -> the (seed, check) entries
         # whose verdict depended on it.
-        self._positions: dict = {}     # attrs -> value positions
-        self._probe_owners: dict = {}  # attrs -> {key: set((ri, ci))}
+        self._footprints = FootprintIndex(self._master_schema)
         scoped: set = set()
         if usable:
             for ri, rec in enumerate(self._records):
@@ -384,7 +391,7 @@ class RegionGuard:
                         usable = False
                         break
                     scoped.update(entry[2])
-                    self._index_check(ri, ci, entry[2])
+                    self._footprints.add((ri, ci), entry[2])
                 if not usable:
                     break
         # Safety net: a probe performed outside any check scope has no
@@ -421,25 +428,6 @@ class RegionGuard:
             for column in self._active
         }
 
-    def _index_check(self, ri: int, ci: int, sink: Iterable) -> None:
-        for attrs, key in sink:
-            if attrs not in self._positions:
-                self._positions[attrs] = [
-                    self._master_schema.index_of(a) for a in attrs
-                ]
-            self._probe_owners.setdefault(attrs, {}).setdefault(
-                key, set()
-            ).add((ri, ci))
-
-    def _unindex_check(self, ri: int, ci: int, sink: Iterable) -> None:
-        for attrs, key in sink:
-            keyed = self._probe_owners.get(attrs)
-            owners = keyed.get(key) if keyed is not None else None
-            if owners is not None:
-                owners.discard((ri, ci))
-                if not owners:
-                    del keyed[key]
-
     # -- the absorb decision -------------------------------------------------
 
     def absorb(self, deltas, store: MasterStore) -> bool:
@@ -469,11 +457,8 @@ class RegionGuard:
         hit: set = set()
         for delta in deltas:
             row = Row(self._master_schema, delta.values)
-            for attrs, keyed in self._probe_owners.items():
-                positions = self._positions[attrs]
-                key = tuple(delta.values[p] for p in positions)
-                owners = keyed.get(key)
-                if owners and not self._benign_hit(
+            for attrs, key, owners in self._footprints.hits(delta.values):
+                if not self._benign_hit(
                     attrs, key, row, inserted, deleted, store
                 ):
                     hit.update(owners)
@@ -524,11 +509,7 @@ class RegionGuard:
         if rules is None:
             return False  # probe not attributable to a rule — be safe
         live = store.probe_ref(attrs, key)
-        positions = self._positions[attrs]
-        gone = [
-            tm for tm in deleted
-            if tuple(tm.values[p] for p in positions) == key
-        ]
+        gone = [tm for tm in deleted if tm[attrs] == key]
         for rule in rules:
             guard = rule.master_guard
             if not guard.matches(row):
@@ -608,7 +589,7 @@ class RegionGuard:
         for ri, ci in sorted(hit):
             rec = self._records[ri]
             entry = rec["checks"][ci]
-            pattern, old_verdict, old_sink = entry
+            pattern, old_verdict, _old_sink = entry
             sink: set = set()
             recording.push_sink(sink)
             try:
@@ -618,7 +599,7 @@ class RegionGuard:
                     Region(rec["z"], tableau=None),
                     pattern,
                     self._schema,
-                    self._max_instantiations,
+                    rec["max_instantiations"],
                     domains=domains,
                 )
             except AnalysisExplosion:
@@ -633,9 +614,8 @@ class RegionGuard:
                 else "vacuous" if check.instantiations == 0
                 else "failed"
             )
-            self._unindex_check(ri, ci, old_sink)
             entry[2] = frozenset(sink)
-            self._index_check(ri, ci, entry[2])
+            self._footprints.add((ri, ci), entry[2])
         return True
 
     def _absorb_novel_values(
@@ -712,7 +692,7 @@ class RegionGuard:
         space = 1
         for values in new_choices:
             space *= max(len(values), 1)
-        if space > self._max_instantiations:
+        if space > self._records[ri]["max_instantiations"]:
             # A fresh check_pattern would raise AnalysisExplosion before
             # even the vacuous early-return; rebuild so the owner
             # reproduces the build-time behaviour.
@@ -754,5 +734,5 @@ class RegionGuard:
         finally:
             recording.pop_sink()
         entry[2] = frozenset(entry[2] | sink)
-        self._index_check(ri, ci, sink)
+        self._footprints.add((ri, ci), entry[2])
         return True

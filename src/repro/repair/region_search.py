@@ -76,8 +76,9 @@ def _validated_tableau(
 
     Returns ``(region_or_None, checked, valid)``; the region keeps the
     validated patterns (capped) as its tableau.  When *record* is a list,
-    a dict describing this seed's examination — candidate-pattern count
-    and per-checked-pattern ``[pattern, verdict, probe footprint]``
+    a dict describing this seed's examination — candidate-pattern count,
+    the validation window and instantiation budget it ran under, and
+    per-checked-pattern ``[pattern, verdict, probe footprint]``
     entries (verdict ``good`` / ``vacuous`` / ``failed``) — is appended,
     the raw material for delta-aware region retention
     (:class:`repro.repair.invalidation.RegionGuard`).  The footprint is
@@ -122,9 +123,13 @@ def _validated_tableau(
                 [pattern, verdict, frozenset(sink) if scoped else None]
             )
     if record is not None:
-        record.append(
-            {"z": z, "candidates": len(candidates), "checks": checks_record}
-        )
+        record.append({
+            "z": z,
+            "candidates": len(candidates),
+            "validate_patterns": validate_patterns,
+            "max_instantiations": max_instantiations,
+            "checks": checks_record,
+        })
     if not good:
         return None, checked, 0
     region = Region(z, PatternTableau(z, good))

@@ -117,12 +117,16 @@ def applicable_rules(
             if not found:
                 continue
         else:  # (c), pattern-only probe (cacheable per rule)
-            if pattern_cache is not None and rule.name in pattern_cache:
-                holds = pattern_cache[rule.name]
-            else:
+            # Keyed by the rule itself, not its name: names need not be
+            # unique (an unnamed rule is named "(X)->B"), and rules sharing
+            # one may differ in pattern or master guard.
+            holds = (
+                pattern_cache.get(rule) if pattern_cache is not None else None
+            )
+            if holds is None:
                 holds = _pattern_holds_on_master(rule, master)
                 if pattern_cache is not None:
-                    pattern_cache[rule.name] = holds
+                    pattern_cache[rule] = holds
             if not holds:
                 continue
         # Refinement (i)-(ii): extend the pattern with the validated key.

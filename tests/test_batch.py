@@ -223,7 +223,6 @@ def test_per_thread_counters_lose_no_update_under_switching(hosp, hosp_dirty):
 
 @pytest.mark.parametrize("options", [
     {"memoize": False},
-    {"validate_uniqueness": False},
 ])
 def test_thread_fan_out_without_memo_lookups(hosp, hosp_dirty, options):
     # With neither a memo lookup nor a BDD suggestion, no thread touches
@@ -413,8 +412,6 @@ def test_memo_stats_arithmetic():
     stats = MemoStats(hits=3, misses=1)
     assert stats.lookups == 4
     assert stats.hit_rate == 0.75
-    delta = MemoStats(hits=5, misses=2).delta(MemoStats(hits=3, misses=1))
-    assert (delta.hits, delta.misses) == (2, 1)
     assert MemoStats().hit_rate == 0.0
 
 

@@ -48,16 +48,6 @@ def test_crmq_asks_more_asserts_fewer_rule_fixes(hosp):
     assert user_burden(len(regions) // 2) >= user_burden(0)
 
 
-def test_validation_can_be_disabled(hosp):
-    data = make_dirty_dataset(hosp, size=10, duplicate_rate=0.5,
-                              noise_rate=0.2, seed=32)
-    engine = CertainFix(hosp.rules, hosp.master, hosp.schema,
-                        validate_uniqueness=False)
-    for dt in data:
-        session = engine.fix(dt.dirty, SimulatedUser(dt.clean))
-        assert session.final == dt.clean  # truthful oracle: still exact
-
-
 def test_max_rounds_budget_reports_incomplete(hosp):
     class SilentUser:
         """Answers nothing, ever."""
@@ -70,8 +60,7 @@ def test_max_rounds_budget_reports_incomplete(hosp):
 
     data = make_dirty_dataset(hosp, size=1, duplicate_rate=0.0,
                               noise_rate=0.2, seed=33)
-    engine = CertainFix(hosp.rules, hosp.master, hosp.schema, max_rounds=2,
-                        validate_uniqueness=False)
+    engine = CertainFix(hosp.rules, hosp.master, hosp.schema, max_rounds=2)
     session = engine.fix(data.tuples[0].dirty, SilentUser())
     assert not session.completed
     assert session.round_count == 2

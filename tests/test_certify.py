@@ -1,7 +1,6 @@
-"""The exact certification passes (E205/W206/I208), fix-its, and caching."""
+"""The exact certification passes (E205/W206/I208) and fix-its."""
 
 import ast
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,10 +18,7 @@ from repro.lint import (
     preflight,
     run_lint,
 )
-from repro.lint.certify import (
-    certification_cache_info,
-    certification_for,
-)
+from repro.lint.certify import certification_for
 from repro.lint.registry import LintContext
 
 
@@ -183,87 +179,6 @@ def test_cert_codes_identical_across_backends(dataset, request):
         remote = RemoteStore(server.url)
         assert key(run_lint(bundle.rules, bundle.schema, remote)) == expected
         remote.close()
-
-
-# -- certification caching over the delta journal -----------------------------
-
-
-def test_delta_keeps_certification_when_footprints_missed():
-    # Two-column probes, region pinned to k1=1: only the (1, *) key pairs
-    # are ever probed.  Inserting an unprobed key combination whose values
-    # are all already active keeps the whole certification (and its E205
-    # finding) across the version move.
-    schema = RelationSchema("r", ["k1", "k2", "v", "w"])
-    store = InMemoryStore(
-        _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
-    )
-    rules = [
-        _rule(("k1", "k2"), "v", name="r1"),
-        _rule(("k1", "k2"), "v", rhs_m="w", name="r2"),
-    ]
-    region = Region(("k1", "k2"), PatternTableau(
-        ("k1", "k2"),
-        [PatternTuple({"k1": Const(1), "k2": ANY})],
-    ))
-    first = run_lint(rules, schema, store, region=region)
-    assert "E205" in first.codes()
-    before = certification_cache_info(store)
-    store.insert([8, 9, 10, 20])  # new key pair, no novel values
-    second = run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["delta_kept"] == before["delta_kept"] + 1
-    assert after["delta_kept_findings"] > before["delta_kept_findings"]
-    # The retained findings are the same objects, not recomputations.
-    firsts = [d for d in first if d.code == "E205"]
-    seconds = [d for d in second if d.code == "E205"]
-    assert all(a is b for a, b in zip(firsts, seconds))
-
-
-def test_delta_with_footprint_hit_recomputes():
-    schema = RelationSchema("r", ["k1", "k2", "v", "w"])
-    store = InMemoryStore(
-        _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
-    )
-    rules = [
-        _rule(("k1", "k2"), "v", name="r1"),
-        _rule(("k1", "k2"), "v", rhs_m="w", name="r2"),
-    ]
-    region = Region(("k1", "k2"), PatternTableau(
-        ("k1", "k2"),
-        [PatternTuple({"k1": Const(1), "k2": ANY})],
-    ))
-    run_lint(rules, schema, store, region=region)
-    before = certification_cache_info(store)
-    store.insert([1, 9, 30, 40])  # hits the probed (1, 9) key
-    run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["recomputes"] == before["recomputes"] + 1
-    assert after["delta_kept"] == before["delta_kept"]
-
-
-def test_novel_value_in_domain_column_recomputes():
-    # The inserted key pair is unprobed, but a domain-feeding column gains
-    # a value absent from the certification's active-domain snapshot: the
-    # exact verdict may no longer hold, so the entry is recomputed.
-    schema = RelationSchema("r", ["k1", "k2", "v", "w"])
-    store = InMemoryStore(
-        _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
-    )
-    rules = [
-        _rule(("k1", "k2"), "v", name="r1"),
-        _rule(("k1", "k2"), "v", rhs_m="w", name="r2"),
-    ]
-    region = Region(("k1", "k2"), PatternTableau(
-        ("k1", "k2"),
-        [PatternTuple({"k1": Const(1), "k2": ANY})],
-    ))
-    run_lint(rules, schema, store, region=region)
-    before = certification_cache_info(store)
-    store.insert([8, 9, 10, 99])  # w=99 is novel
-    run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["recomputes"] == before["recomputes"] + 1
-    assert after["delta_kept"] == before["delta_kept"]
 
 
 # -- active-domain hoisting (satellite: saved work is counted) ----------------

@@ -159,3 +159,56 @@ def test_region_rebuilds_reach_the_report_and_metrics(
             assert snap.counter_value(
                 "repro_region_guard_total", result=result
             ) == count
+
+
+def test_second_batch_hitting_a_reverified_footprint_is_seen():
+    # A three-rule chain a -> b -> c -> d over a master whose b- and
+    # c-keys live in their own columns.  The check of pattern a=2 fails:
+    # its chase probes bkey=x and finds nothing.  Batch 1 inserts a row
+    # under bkey=x; the check is re-verified, still fails one step later
+    # (no row under ckey=y), and records that probe as a new footprint.
+    # Batch 2 inserts a row under ckey=y only — a key no build-time
+    # footprint holds.  It completes the chase, so a fresh build turns
+    # a=2 good and the guard must see the hit through the refreshed index.
+    from repro.core.rules import EditingRule
+    from repro.engine.schema import RelationSchema
+
+    schema = RelationSchema("r", ["a", "b", "c", "d"])
+    master_schema = RelationSchema(
+        "m", ["a", "b", "bkey", "cval", "ckey", "dval"]
+    )
+    rules = [
+        EditingRule(("a",), ("a",), "b", "b"),
+        EditingRule(("b",), ("bkey",), "c", "cval"),
+        EditingRule(("c",), ("ckey",), "d", "dval"),
+    ]
+    store = InMemoryStore(Relation(master_schema, [
+        (1, "b1", "b1", "c1", "c1", "d1"),  # a=1 chases to the end: good
+        (2, "x", "k2", "c2", "k3", "d2"),   # a=2: nothing under bkey=x
+    ]))
+    options = {"validate_patterns": 2, "max_extra": 0}
+
+    def build():
+        recording = RecordingStore(store)
+        record: list = []
+        regions = comp_c_region(
+            rules, recording, schema, record=record, **options
+        )
+        guard = RegionGuard(
+            rules, schema, store, recording.footprints, record
+        )
+        return regions, guard
+
+    def fresh():
+        return _signature(comp_c_region(rules, store, schema, **options))
+
+    regions, guard = build()
+    version = store.version
+    store.insert([9, "b9", "x", "y", "k9", "d9"])
+    assert guard.absorb(store.deltas_since(version), store)
+    assert _signature(regions) == fresh()
+
+    version = store.version
+    store.insert([8, "b8", "k8", "c8", "y", "w"])
+    assert _signature(regions) != fresh()  # a=2 is good now
+    assert not guard.absorb(store.deltas_since(version), store)

@@ -1,6 +1,9 @@
 """Procedure Suggest: applicable rules Σt[Z], refinement φ⁺, suggestions."""
 
-from repro.core.patterns import Const
+from repro.core.patterns import Const, PatternTuple
+from repro.core.rules import EditingRule
+from repro.engine.relation import Relation
+from repro.engine.schema import RelationSchema
 from repro.engine.tuples import Row
 from repro.engine.values import NULL
 from repro.repair.suggest import Suggestion, applicable_rules, suggest
@@ -117,6 +120,27 @@ def test_suggest_pattern_cache_reused(example):
     # Second call hits the cache (same object, no error).
     suggest(example.rules, example.master, example.schema, row, z,
             pattern_cache=cache)
+
+
+def test_pattern_cache_separates_rules_sharing_a_name():
+    # Two unnamed rules with one lhs and rhs are both named "(zip)->city";
+    # only the src=2 guard has a master witness.  A cache keyed by name
+    # let the src=1 rule reuse the src=2 verdict.
+    schema = RelationSchema("r", ["zip", "city"])
+    master = Relation(
+        RelationSchema("m", ["zip", "city", "src"]), [("z1", "c1", 2)]
+    )
+    rules = [
+        EditingRule(("zip",), ("zip",), "city", "city",
+                    master_guard=PatternTuple({"src": Const(src)}))
+        for src in (1, 2)
+    ]
+    assert rules[0].name == rules[1].name
+    row = Row(schema, ("z1", "cX"))
+    uncached = suggest(rules, master, schema, row, frozenset())
+    cached = suggest(rules, master, schema, row, frozenset(),
+                     pattern_cache={})
+    assert cached.attrs == uncached.attrs == ("zip",)
 
 
 def test_suggestion_truthiness():
