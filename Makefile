@@ -86,12 +86,14 @@ differential:
 
 # Every master-delta consumer against a fresh rebuild: the region guard
 # (kept regions equal a fresh CompCRegion), the shared FootprintIndex
-# both it and the chase memo purge through, and the delta-vs-full-drop
-# equivalence fuzz.  A subset of `test`, named so a divergence in a delta
-# consumer is attributable on its own line (CI step).
+# both it and the chase memo purge through, the footprints the chase and
+# the pattern check report (every keyed read lies in them), and the
+# delta-vs-full-drop equivalence fuzz.  A subset of `test`, named so a
+# divergence in a delta consumer is attributable on its own line (CI step).
 invalidation:
 	$(PYTHON) -m pytest tests/test_region_guard.py \
-		tests/test_footprint_index.py \
+		tests/test_footprint_index.py tests/test_footprints.py \
+		"tests/test_chase_reads.py::test_chase_reads_each_rule_key_once_with_one_batch_per_step" \
 		"tests/test_store_equivalence.py::test_hypothesis_delta_invalidation_matches_full_drop" -q
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and

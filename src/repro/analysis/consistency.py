@@ -50,6 +50,9 @@ class PatternCheck:
     conflict: Conflict = None
     witness_values: dict = None
     uncovered: tuple = ()
+    #: The union of every chase's ``reads``: each ``(Xm, key)`` the check
+    #: probed, coverage-failure consistency chases included.
+    reads: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def describe(self) -> str:
         status = "certain" if self.certain else (
@@ -166,10 +169,12 @@ def check_pattern(
     all_attrs = set(schema.attributes)
     attrs = [a for a, _ in choices]
     instantiations = 0
+    reads: set = set()
     for combo in itertools.product(*(values for _, values in choices)):
         instantiations += 1
         assignment = dict(zip(attrs, combo))
         outcome: ChaseOutcome = chase(assignment, region.attrs, rules, master)
+        reads.update(outcome.reads)
         if not outcome.unique:
             return PatternCheck(
                 pattern=pattern,
@@ -178,42 +183,47 @@ def check_pattern(
                 instantiations=instantiations,
                 conflict=outcome.conflict,
                 witness_values=assignment,
+                reads=frozenset(reads),
             )
         if not outcome.covered >= all_attrs:
             uncovered = tuple(
                 a for a in schema.attributes if a not in outcome.covered
             )
+            consistent = _remaining_consistent(
+                rules, master, region, choices, attrs, reads
+            )
             return PatternCheck(
                 pattern=pattern,
-                consistent=_remaining_consistent(
-                    rules, master, region, choices, attrs, combo, instantiations,
-                    max_instantiations,
-                ),
+                consistent=consistent,
                 certain=False,
                 instantiations=instantiations,
                 witness_values=assignment,
                 uncovered=uncovered,
+                reads=frozenset(reads),
             )
     return PatternCheck(
         pattern=pattern,
         consistent=True,
         certain=True,
         instantiations=instantiations,
+        reads=frozenset(reads),
     )
 
 
 def _remaining_consistent(
-    rules, master, region, choices, attrs, failed_combo, done, budget
+    rules, master, region, choices, attrs, reads
 ) -> bool:
     """Finish the consistency half of a check after coverage already failed.
 
     Coverage failures do not imply inconsistency, so keep chasing the
     remaining instances (starting over is simplest and the space is already
-    budgeted) looking only at uniqueness.
+    budgeted) looking only at uniqueness.  Every chase's probes join
+    *reads*: the verdict depends on them too.
     """
     for combo in itertools.product(*(values for _, values in choices)):
         assignment = dict(zip(attrs, combo))
         outcome = chase(assignment, region.attrs, rules, master)
+        reads.update(outcome.reads)
         if not outcome.unique:
             return False
     return True

@@ -20,7 +20,7 @@ order-exploring chase on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.regions import Region
 from repro.core.rules import EditingRule
@@ -68,7 +68,10 @@ class ChaseOutcome:
     the store returned, so outcomes compare equal across backends);
     ``fired`` — the same run expanded to one ``(rule, master_row, batch)``
     per guard-passing row, in order (built on access, for provenance and
-    tests; :meth:`first_fired` is the per-rule view a fix needs).
+    tests; :meth:`first_fired` is the per-rule view a fix needs);
+    ``reads`` — every ``(Xm, key)`` the chase probed, its complete master
+    read footprint (excluded from ``==``, so outcomes still compare equal
+    across backends).
     """
 
     unique: bool
@@ -78,6 +81,7 @@ class ChaseOutcome:
     conflict: Conflict = None
     applications: list = field(default_factory=list)
     batches: int = 0
+    reads: Collection = field(default=(), compare=False, repr=False)
 
     @property
     def fired(self) -> list:
@@ -251,7 +255,9 @@ def chase(
     targets included — and reads all their keys with one
     :meth:`~repro.engine.store.MasterStore.probe_batch` call (a remote
     store sends that step's cache misses in one request).  Each distinct
-    ``(Xm, key)`` is read at most once per chase.  In the step a rule is
+    ``(Xm, key)`` is read at most once per chase, and the set of them is
+    the outcome's ``reads`` — the footprint delta-aware caches purge by
+    (:mod:`repro.repair.invalidation`).  In the step a rule is
     examined, one positional walk over its read keeps the guard-passing
     rows and their distinct ``Bm`` values (first row per value, row order).
     Both conflict tests only compare values, so step (e) and the step (g)
@@ -328,6 +334,7 @@ def chase(
                         ),
                         applications=applications,
                         batches=batches,
+                        reads=read.keys(),
                     )
                 new_values.setdefault(attr, value)
                 culprit[attr] = rule
@@ -375,6 +382,7 @@ def chase(
                 ),
                 applications=applications,
                 batches=batches,
+                reads=read.keys(),
             )
 
     return ChaseOutcome(
@@ -384,6 +392,7 @@ def chase(
         zb=zb,
         applications=applications,
         batches=batches,
+        reads=read.keys(),
     )
 
 

@@ -290,6 +290,11 @@ class PatternTuple:
             )
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a cached hash must not travel to a spawned worker.
+        return (PatternTuple, (self._conditions,))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}={self._conditions[a]!r}" for a in self._attrs)
         return f"PatternTuple({inner})"

@@ -86,7 +86,7 @@ from repro.engine.store import StoreError, as_master_store
 from repro.engine.tuples import Row
 from repro.obs import count_fixes_by_rule, session_provenance
 from repro.repair.certainfix import CertainFix, IncompleteFix
-from repro.repair.invalidation import FootprintIndex, RecordingStore
+from repro.repair.invalidation import FootprintIndex
 from repro.repair.oracle import SimulatedUser
 from repro.repair.transfix import TransFixResult
 
@@ -349,7 +349,11 @@ class _MemoCertainFix(CertainFix):
     fixed ``(Σ, Dm)``: the memo key.  "Fixed" is enforced by
     version-stamping: when the master store's version moves, the inherited
     sync hook purges the memo along with the base engine's regions/BDD
-    caches.
+    caches.  A miss chases the live store through the inherited
+    :meth:`~CertainFix._chase` and, with delta invalidation on, files the
+    entry in a :class:`FootprintIndex` under the chase's own ``reads``, so
+    a journal delta purges exactly the entries whose chase probed a
+    changed row.
     """
 
     def __init__(self, *args, memoize: bool = True, **kwargs):
@@ -430,10 +434,10 @@ class _MemoCertainFix(CertainFix):
         return attrs, row[attrs]
 
     def _validated_fix(
-        self, row: Row, validated: frozenset, store=None
+        self, row: Row, validated: frozenset
     ) -> TransFixResult | None:
         if not self._memoize:
-            return super()._validated_fix(row, validated, store)
+            return super()._validated_fix(row, validated)
         key = self._memo_key(row, validated)
         stamp = self._master_version
         tally = self._tally()
@@ -446,17 +450,18 @@ class _MemoCertainFix(CertainFix):
             return TransFixResult.from_chase(row, validated, applied)
         tally.chase_misses += 1
         obs.inc("repro_chase_memo_total", result="miss")
-        recording = (
-            RecordingStore(self.store) if self._delta_invalidation else None
+        outcome = self._chase(row, validated)
+        result = (
+            TransFixResult.from_chase(row, validated, outcome.first_fired())
+            if outcome.unique else None
         )
-        result = super()._validated_fix(row, validated, recording)
         with self._memo_guard:
             if self._master_version == stamp:
                 self._chase_memo[key] = (
                     None if result is None else tuple(result.applied)
                 )
-                if recording is not None:
-                    self._chase_footprints.add(key, recording.footprints)
+                if self._delta_invalidation:
+                    self._chase_footprints.add(key, outcome.reads)
         return result
 
     def _next_suggestion(self, cursor, row, validated):
@@ -557,7 +562,8 @@ def _process_worker_chunk(task: tuple) -> tuple:
     than this worker's store the master mutated, and the worker replays
     the shipped journal *deltas* through ``adopt_deltas`` before
     monitoring.  That keeps the worker store's own journal contiguous, so
-    the engine resync right after purges per-key.  A list that cannot be
+    the chunk's first ``engine.fix`` resyncs with per-key purges, inside
+    the chunk's counter delta.  A list that cannot be
     replayed raises :class:`StoreError`: monitoring on would read a master
     other than the parent's.
 
@@ -579,7 +585,6 @@ def _process_worker_chunk(task: tuple) -> tuple:
                 f"from version {store.version} to {version}; the next run "
                 f"starts a fresh process pool"
             )
-        engine.resync_master()
     warm_s = 0.0
     if store.supports_batched_probes:
         warm_s = _warm_chunk_probes(engine, pairs)

@@ -29,17 +29,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.core.fixes import chase
+from repro.core.fixes import ChaseOutcome, chase
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
 from repro.obs import FixProvenance
 from repro.repair.bdd import SuggestionCache
-from repro.repair.invalidation import (
-    RecordingStore,
-    RegionGuard,
-    patch_pattern_cache,
-)
+from repro.repair.invalidation import RegionGuard, patch_pattern_cache
 from repro.repair.region_search import comp_c_region
 from repro.repair.suggest import Suggestion, suggest
 # ``transfix`` is no longer called here; the module attribute stays
@@ -245,25 +241,16 @@ class CertainFix:
     def regions(self) -> list:
         if self._regions is None:
             with obs.time_block("repro_region_precompute_seconds"):
+                # The build's record (per-check verdicts and master
+                # footprints) lets the region guard later prove a delta
+                # batch leaves the rebuild outcome unchanged.
+                record: list = []
+                self._regions = comp_c_region(
+                    self.rules, self.store, self.schema, record=record
+                )
                 if self._delta_invalidation:
-                    # Record the build's master footprint so the region
-                    # guard can later prove a delta batch leaves the
-                    # rebuild outcome unchanged.
-                    recording = RecordingStore(self.store)
-                    record: list = []
-                    self._regions = comp_c_region(
-                        self.rules, recording, self.schema, record=record
-                    )
                     self._region_guard = RegionGuard(
-                        self.rules,
-                        self.schema,
-                        self.store,
-                        recording.footprints,
-                        record,
-                    )
-                else:
-                    self._regions = comp_c_region(
-                        self.rules, self.store, self.schema
+                        self.rules, self.schema, self.store, record
                     )
             if not self._regions:
                 raise ValueError(
@@ -359,18 +346,6 @@ class CertainFix:
             )
         patch_pattern_cache(self._pattern_cache, self.rules, deltas, rows)
         return True
-
-    def resync_master(self) -> bool:
-        """Re-check the store version now; True iff caches were dropped.
-
-        :meth:`fix` performs this check before every monitored tuple, so
-        ordinary callers never need it.  It exists for hosts that swap the
-        store's state out from under the engine *between* fixes and want
-        the rebuild accounted to a known point — the batch engine's
-        process-pool workers call it right after syncing their store
-        handle to the parent's version stamp.
-        """
-        return self._sync_master_version()
 
     # -- the main loop (Fig. 3) -----------------------------------------------
 
@@ -480,25 +455,26 @@ class CertainFix:
         session.validated = validated
         return session
 
-    # -- overridable hot-path hook (the batch engine memoizes it) -------------
+    # -- the round's fix (the batch engine memoizes it) -------------------------
 
     def _validated_fix(
-        self, row: Row, validated: frozenset, store=None
+        self, row: Row, validated: frozenset
     ) -> TransFixResult | None:
         """The round's fix of ``t[Z']``, or ``None`` when it is not unique.
 
         One Theorem 4 chase decides uniqueness and, when unique, already
         holds TransFix's fixpoint (:meth:`TransFixResult.from_chase`).
-        *store* overrides the master the chase reads — the batch engine's
-        memo passes a footprint-recording wrapper on its miss path.
         """
-        outcome = chase(
-            row, validated, self.rules,
-            self.store if store is None else store,
-        )
+        outcome = self._chase(row, validated)
         if not outcome.unique:
             return None
         return TransFixResult.from_chase(row, validated, outcome.first_fired())
+
+    def _chase(self, row: Row, validated: frozenset) -> ChaseOutcome:
+        """The Theorem 4 chase of ``t[Z']`` against the live master.  The
+        outcome's ``reads`` are the master footprint the batch engine's
+        memo files the round's fix under."""
+        return chase(row, validated, self.rules, self.store)
 
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.

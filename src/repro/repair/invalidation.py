@@ -3,18 +3,21 @@
 One master mutation used to drop *every* version-stamped cache — regions,
 the Suggest⁺ BDD, the chase memo, pattern probes — costing 0.6–1.7s
 of rebuild per mutation at bench scale.  The :class:`~repro.engine.store`
-delta journal names exactly which rows changed; this module provides the
-consumer-side machinery that turns those deltas into per-key purges:
+delta journal names exactly which rows changed, and every cached value
+knows what it read: its *read footprint*, every keyed probe ``(attrs,
+key)`` its computation made.  The Theorem 4 chase reads master data
+exclusively through keyed probes and reports them as
+``ChaseOutcome.reads``; ``check_pattern`` reports the union over its
+chases as ``PatternCheck.reads``.  So a chase-memo entry's footprint is
+its chase's reads and a region-build check's footprint is the check's
+reads — the complete master dependency set of either, which is what lets
+the region guard re-verify exactly the checks a mutated row touched
+instead of rejecting wholesale.  Full sweeps (iteration,
+``active_values``) are not footprints: the state they derive is guarded
+by other means (the region guard's active-value snapshot, the
+pattern-cache patcher).  This module turns deltas and footprints into
+per-key purges:
 
-* :class:`RecordingStore` — a pass-through :class:`MasterStore` wrapper
-  that records the *read footprint* of a computation: every keyed probe
-  ``(attrs, key)`` it forwarded.  The chase reads master data
-  exclusively through keyed probes, so a recorded footprint is the
-  complete master dependency set of a memo entry or a pattern check's
-  chase work.  ``push_sink``/``pop_sink`` additionally scope footprints
-  to one sub-computation (one ``check_pattern`` call of a region build),
-  which is what lets the region guard re-verify exactly the checks a
-  mutated row touched instead of rejecting wholesale.
 * :class:`FootprintIndex` — a reverse index from probe footprints to the
   derived state that performed them: chase-memo entries of the batch
   engine and the region guard's pattern checks alike.  ``hits(values)``
@@ -70,107 +73,13 @@ from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
 
 
-class RecordingStore(MasterStore):
-    """Pass-through store wrapper that records keyed-probe footprints.
-
-    ``footprints`` accumulates ``(attrs, key)`` for every keyed read
-    (``probe_ref``, ``probe_batch`` and ``scan_probe``, plus ``probe``,
-    ``probe_many`` and ``contains_key``, which the base class derives from
-    the first two); ``swept`` notes whether any full sweep (iteration,
-    ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
-    consumers whose sweep-derived state is guarded by other means (the
-    region guard's active-value snapshot, the pattern-cache patcher)
-    deliberately ignore them.
-
-    A *sink* pushed with :meth:`push_sink` additionally receives every
-    footprint recorded until :meth:`pop_sink`, scoping dependencies to
-    one sub-computation without losing the global set.
-    """
-
-    def __init__(self, store: MasterStore):
-        self._store = store
-        self.footprints: set = set()
-        self.swept = False
-        self._sink = None
-
-    def push_sink(self, sink: set) -> None:
-        self._sink = sink
-
-    def pop_sink(self) -> None:
-        self._sink = None
-
-    def _record(self, attrs: tuple, key: tuple) -> None:
-        footprint = (attrs, key)
-        self.footprints.add(footprint)
-        if self._sink is not None:
-            self._sink.add(footprint)
-
-    # -- read API (recorded) -------------------------------------------------
-
-    def probe_ref(self, attrs: Iterable, key):
-        attrs = tuple(attrs)
-        key = tuple(key)
-        self._record(attrs, key)
-        return self._store.probe_ref(attrs, key)
-
-    def probe_batch(self, probes: Iterable) -> list:
-        probes = [(tuple(attrs), tuple(key)) for attrs, key in probes]
-        for attrs, key in probes:
-            self._record(attrs, key)
-        return self._store.probe_batch(probes)
-
-    def scan_probe(self, attrs: Iterable, key) -> tuple:
-        # Index-free, but still a keyed read: same dependency shape.
-        attrs = tuple(attrs)
-        key = tuple(key)
-        self._record(attrs, key)
-        return self._store.scan_probe(attrs, key)
-
-    # -- read API (sweeps) ---------------------------------------------------
-
-    def __len__(self) -> int:
-        self.swept = True
-        return len(self._store)
-
-    def __iter__(self) -> Iterator[Row]:
-        self.swept = True
-        return iter(self._store)
-
-    def iter_from(self, start: int) -> Iterator[Row]:
-        self.swept = True
-        return self._store.iter_from(start)
-
-    def active_values(self, attr: str) -> set:
-        self.swept = True
-        return self._store.active_values(attr)
-
-    # -- plumbing ------------------------------------------------------------
-
-    @property
-    def schema(self) -> RelationSchema:
-        return self._store.schema
-
-    @property
-    def version(self) -> int:
-        return self._store.version
-
-    def ensure_index(self, attrs: Iterable) -> None:
-        self._store.ensure_index(attrs)
-
-    def insert(self, row) -> None:
-        self._store.insert(row)
-
-    def delete(self, row) -> bool:
-        return self._store.delete(row)
-
-
 class FootprintIndex:
     """Reverse index: master probe footprints → dependent entries.
 
     Entries register with :meth:`add` under an opaque key (a chase-memo
     key, a region guard's ``(seed, check)`` position) and the footprint
-    set a :class:`RecordingStore` captured while the entry's value was
-    computed.  :meth:`hits` projects a mutated row onto every distinct
+    the computation of the entry's value reported: a chase's
+    ``ChaseOutcome.reads``, a pattern check's ``PatternCheck.reads``.  :meth:`hits` projects a mutated row onto every distinct
     probed attribute list and yields the recorded probe keys it matches;
     the entries behind them are exactly those whose deterministic
     recompute could observe the mutation.  Not thread-safe; callers hold
@@ -297,14 +206,14 @@ class _SnapshotActives:
 class RegionGuard:
     """Decides whether precomputed certain regions survive a delta batch.
 
-    Built alongside ``comp_c_region`` from three artifacts of the build:
-    per-check keyed-probe footprints (each ``check_pattern`` call runs
-    with a :class:`RecordingStore` sink pushed), per-seed records of how
-    many candidate patterns existed and what verdict each checked
-    pattern received, plus the build's validation window and
-    instantiation budget (the ``record`` sink of ``comp_c_region``), and a
-    snapshot of the master's active values for every column that feeds
-    a readable attribute's instantiation domain.  :meth:`absorb` then
+    Built alongside ``comp_c_region`` from two artifacts of the build —
+    its ``record``: per seed, how many candidate patterns existed, the
+    build's validation window and instantiation budget, and per checked
+    pattern the verdict and keyed-probe footprint (``PatternCheck.reads``)
+    — and a snapshot of the master's active values for every column that
+    feeds a readable attribute's instantiation domain.  The build probes
+    by key only inside ``check_pattern``, so the per-check footprints
+    cover every keyed read it made.  :meth:`absorb` then
     proves, delta batch by delta batch, that a fresh rebuild would
     reproduce the current region list exactly — or returns False,
     sending the owner down the ordinary rebuild path (a False return
@@ -351,13 +260,12 @@ class RegionGuard:
         rules: Sequence,
         schema: RelationSchema,
         store: MasterStore,
-        footprints: Iterable,
         seed_records: Sequence,
     ):
         self._rules = list(rules)
         self._schema = schema  # the input schema R (region attrs live here)
         self._master_schema = store.schema
-        # Mutable copies: check entries become [pattern, verdict, sink]
+        # Mutable copies: check entries become [pattern, verdict, reads]
         # lists so re-verification can refresh verdicts and footprints.
         # ``checked`` and ``options`` serve the delete-window proof.
         self._records = [
@@ -381,23 +289,10 @@ class RegionGuard:
         # Reverse probe index: footprint -> the (seed, check) entries
         # whose verdict depended on it.
         self._footprints = FootprintIndex(self._master_schema)
-        scoped: set = set()
         if usable:
             for ri, rec in enumerate(self._records):
                 for ci, entry in enumerate(rec["checks"]):
-                    if len(entry) < 3 or entry[2] is None:
-                        # No per-check scope recorded (builder ran against
-                        # a store without sink support) — unattributable.
-                        usable = False
-                        break
-                    scoped.update(entry[2])
                     self._footprints.add((ri, ci), entry[2])
-                if not usable:
-                    break
-        # Safety net: a probe performed outside any check scope has no
-        # owner to re-verify, making retention unattributable.
-        if usable and set(footprints) - scoped:
-            usable = False
         self._usable = usable
         # Master columns feeding each readable attribute's active domain
         # (mirrors attribute_active_domain's column collection; attributes
@@ -582,39 +477,33 @@ class RegionGuard:
         that bit to survive.  Verdicts and footprints are refreshed from
         the re-run so future absorbs see current dependencies.
         """
-        recording = RecordingStore(store)
-        # One live master version for the whole call: active domains are
-        # swept once, not once per re-run check.
-        domains = ActiveDomainCache(self._rules, recording)
+        # One live master version for the whole call: each active domain
+        # is read once, not once per re-run check.
+        domains = ActiveDomainCache(self._rules, store)
         for ri, ci in sorted(hit):
             rec = self._records[ri]
             entry = rec["checks"][ci]
-            pattern, old_verdict, _old_sink = entry
-            sink: set = set()
-            recording.push_sink(sink)
             try:
                 check = check_pattern(
                     self._rules,
-                    recording,
+                    store,
                     Region(rec["z"], tableau=None),
-                    pattern,
+                    entry[0],
                     self._schema,
                     rec["max_instantiations"],
                     domains=domains,
                 )
             except AnalysisExplosion:
                 return False  # a fresh build would raise; rebuild to match
-            finally:
-                recording.pop_sink()
             is_good = check.certain and check.instantiations > 0
-            if is_good != (old_verdict == "good"):
+            if is_good != (entry[1] == "good"):
                 return False
             entry[1] = (
                 "good" if is_good
                 else "vacuous" if check.instantiations == 0
                 else "failed"
             )
-            entry[2] = frozenset(sink)
+            entry[2] = check.reads
             self._footprints.add((ri, ci), entry[2])
         return True
 
@@ -680,7 +569,7 @@ class RegionGuard:
     def _check_survives_growth(
         self, ri, ci, entry, z, old_ctx, new_ctx, store
     ) -> bool:
-        pattern, verdict, _sink = entry
+        pattern, verdict, _reads = entry
         old_choices = self._choices(z, pattern, old_ctx)
         new_choices = self._choices(z, pattern, new_ctx)
         added = [
@@ -710,29 +599,25 @@ class RegionGuard:
         # Certain check: old combinations replay identically; chase
         # exactly the combinations that include at least one new value,
         # recording their probes so future deltas can find this check.
-        recording = RecordingStore(store)
-        sink: set = set()
-        recording.push_sink(sink)
+        reads = set(entry[2])
         all_attrs = set(self._schema.attributes)
-        try:
-            for index, fresh_values in enumerate(added):
-                if not fresh_values:
-                    continue
-                # Positions before `index` take old values, `index` takes
-                # only new values, later positions run the full new lists
-                # — disjoint and jointly exhaustive over "at least one
-                # new value" without re-enumerating the old product.
-                pools = [
-                    old_choices[i] if i < index
-                    else (fresh_values if i == index else new_choices[i])
-                    for i in range(len(new_choices))
-                ]
-                for combo in itertools.product(*pools):
-                    outcome = chase(dict(zip(z, combo)), z, self._rules, recording)
-                    if not outcome.unique or not outcome.covered >= all_attrs:
-                        return False
-        finally:
-            recording.pop_sink()
-        entry[2] = frozenset(entry[2] | sink)
+        for index, fresh_values in enumerate(added):
+            if not fresh_values:
+                continue
+            # Positions before `index` take old values, `index` takes
+            # only new values, later positions run the full new lists
+            # — disjoint and jointly exhaustive over "at least one
+            # new value" without re-enumerating the old product.
+            pools = [
+                old_choices[i] if i < index
+                else (fresh_values if i == index else new_choices[i])
+                for i in range(len(new_choices))
+            ]
+            for combo in itertools.product(*pools):
+                outcome = chase(dict(zip(z, combo)), z, self._rules, store)
+                if not outcome.unique or not outcome.covered >= all_attrs:
+                    return False
+                reads.update(outcome.reads)
+        entry[2] = frozenset(reads)
         self._footprints.add((ri, ci), entry[2])
         return True

@@ -82,9 +82,9 @@ def _validated_tableau(
     entries (verdict ``good`` / ``vacuous`` / ``failed``) — is appended,
     the raw material for delta-aware region retention
     (:class:`repro.repair.invalidation.RegionGuard`).  The footprint is
-    the set of keyed probes the check performed, captured by pushing a
-    sink on *master* when it supports one (a ``RecordingStore``), else
-    ``None`` (which disables retention).
+    the check's own report of what it probed (``PatternCheck.reads``);
+    the build reads master data by key nowhere else — candidate
+    generation and active domains only sweep.
     """
     candidates = master_projected_patterns(z, rules, master)
     # The build runs at one master version: sweep each active domain once
@@ -93,23 +93,14 @@ def _validated_tableau(
     checked = 0
     good = []
     checks_record = [] if record is not None else None
-    scoped = checks_record is not None and hasattr(master, "push_sink")
     for pattern in candidates:
         if checked >= validate_patterns:
             break
         checked += 1
-        probe_region = Region(z, tableau=None)
-        sink = set() if scoped else None
-        if scoped:
-            master.push_sink(sink)
-        try:
-            check = check_pattern(
-                rules, master, probe_region, pattern, schema,
-                max_instantiations, domains=domains,
-            )
-        finally:
-            if scoped:
-                master.pop_sink()
+        check = check_pattern(
+            rules, master, Region(z, tableau=None), pattern, schema,
+            max_instantiations, domains=domains,
+        )
         is_good = check.certain and check.instantiations > 0
         if is_good:
             good.append(pattern)
@@ -119,9 +110,7 @@ def _validated_tableau(
                 else "vacuous" if check.instantiations == 0
                 else "failed"
             )
-            checks_record.append(
-                [pattern, verdict, frozenset(sink) if scoped else None]
-            )
+            checks_record.append([pattern, verdict, check.reads])
     if record is not None:
         record.append({
             "z": z,

@@ -60,6 +60,8 @@ def test_chase_reads_each_rule_key_once_with_one_batch_per_step(
         assert len(store.reads) == sum(store.batch_sizes)
         # ... and no (attrs, key) pair twice, so step (g) read nothing.
         assert len(store.reads) == len(set(store.reads))
+        # The outcome reports exactly what it read: its master footprint.
+        assert set(outcome.reads) == set(store.reads)
         # At most one batch per step (the last step fires nothing).
         assert len(store.batch_sizes) <= outcome.batches + 1
         multi_step += len(store.batch_sizes) >= 2

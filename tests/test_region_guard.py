@@ -19,7 +19,7 @@ from repro.datasets import make_dirty_dataset, make_hosp
 from repro.engine.relation import Relation
 from repro.engine.store import InMemoryStore
 from repro.repair.batch import BatchRepairEngine
-from repro.repair.invalidation import RecordingStore, RegionGuard
+from repro.repair.invalidation import RegionGuard
 from repro.repair.region_search import comp_c_region
 
 WINDOW = 64
@@ -39,14 +39,9 @@ def _signature(regions) -> list:
 
 
 def _build(bundle, store) -> tuple:
-    recording = RecordingStore(store)
     record: list = []
-    regions = comp_c_region(
-        bundle.rules, recording, bundle.schema, record=record
-    )
-    guard = RegionGuard(
-        bundle.rules, bundle.schema, store, recording.footprints, record
-    )
+    regions = comp_c_region(bundle.rules, store, bundle.schema, record=record)
+    guard = RegionGuard(bundle.rules, bundle.schema, store, record)
     return regions, guard
 
 
@@ -189,14 +184,9 @@ def test_second_batch_hitting_a_reverified_footprint_is_seen():
     options = {"validate_patterns": 2, "max_extra": 0}
 
     def build():
-        recording = RecordingStore(store)
         record: list = []
-        regions = comp_c_region(
-            rules, recording, schema, record=record, **options
-        )
-        guard = RegionGuard(
-            rules, schema, store, recording.footprints, record
-        )
+        regions = comp_c_region(rules, store, schema, record=record, **options)
+        guard = RegionGuard(rules, schema, store, record)
         return regions, guard
 
     def fresh():

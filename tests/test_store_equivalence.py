@@ -461,15 +461,15 @@ def test_stale_memo_write_rejected_after_concurrent_teardown(monkeypatch):
     batch = BatchRepairEngine(rules, store, schema, use_bdd=False)
     engine = batch.engine
 
-    original = CertainFix._validated_fix
+    original = CertainFix._chase
 
-    def mutate_mid_compute(self, row, validated, store_=None):
-        result = original(self, row, validated, store_)
+    def mutate_mid_compute(self, row, validated):
+        result = original(self, row, validated)
         store.insert(Row(schema, ("k9", "v9")))
         self._sync_master_version()  # the "other worker's" teardown
         return result
 
-    monkeypatch.setattr(CertainFix, "_validated_fix", mutate_mid_compute)
+    monkeypatch.setattr(CertainFix, "_chase", mutate_mid_compute)
     row = Row(schema, ("k1", "v1"))
     validated = frozenset({"key", "val"})
     assert engine._validated_fix(row, validated) is not None
