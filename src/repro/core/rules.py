@@ -24,18 +24,14 @@ from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
 
 
-#: The fields ``__eq__`` compares and ``__hash__`` covers.
-_HASHED_FIELDS = frozenset(
-    ("lhs", "lhs_m", "rhs", "rhs_m", "pattern", "master_guard")
-)
-
-
 class EditingRule:
     """One editing rule ``((X, Xm) → (B, Bm), tp[Xp])``.
 
     Attribute-list accessors follow the paper's notation: :attr:`lhs` is
     ``X``, :attr:`lhs_m` is ``Xm``, :attr:`rhs` is ``B``, :attr:`rhs_m` is
-    ``Bm``, :attr:`pattern` is ``tp`` (whose attrs are ``Xp``).
+    ``Bm``, :attr:`pattern` is ``tp`` (whose attrs are ``Xp``).  The
+    fields are fixed after construction: the premise and the hash are
+    derived from them once (:meth:`with_pattern` builds a new rule).
     """
 
     __slots__ = (
@@ -67,7 +63,6 @@ class EditingRule:
         # Theorem 12 reduction matches many R attributes against B1).
         if rhs in lhs:
             raise ValueError(f"B = {rhs!r} must not occur in X = {lhs}")
-        self._hash = None  # computed once every hashed field is set
         self.lhs = lhs
         self.lhs_m = lhs_m
         self.rhs = rhs
@@ -82,23 +77,14 @@ class EditingRule:
         )
         self.name = name or self._default_name()
         self._premise = frozenset(self.lhs) | frozenset(self.pattern.attrs)
-        self._hash = self._field_hash()
-
-    def __setattr__(self, name: str, value) -> None:
-        # Rules are hashed on every dict/set lookup (Suggest⁺'s per-rule
-        # caches), so the hash is computed once; a field reassigned after
-        # construction refreshes it.
-        object.__setattr__(self, name, value)
-        if name in _HASHED_FIELDS and self._hash is not None:
-            object.__setattr__(self, "_hash", self._field_hash())
-
-    def _field_hash(self) -> int:
-        return hash((self.lhs, self.lhs_m, self.rhs, self.rhs_m,
-                     self.pattern, self.master_guard))
+        # Computed on first use, then kept: rules are hashed on every
+        # per-rule cache lookup, but most rules Suggest refines are never
+        # hashed at all.
+        self._hash = None
 
     def __reduce__(self):
         # Rebuild through the constructor: string hashes are salted per
-        # process, so a pickled hash would be wrong in a spawned worker.
+        # process, so a cached hash must not travel to a spawned worker.
         return (EditingRule, (
             self.lhs, self.lhs_m, self.rhs, self.rhs_m, self.pattern,
             self.name, self.master_guard,
@@ -233,6 +219,9 @@ class EditingRule:
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.lhs, self.lhs_m, self.rhs, self.rhs_m,
+                               self.pattern, self.master_guard))
         return self._hash
 
     def __repr__(self) -> str:
