@@ -55,7 +55,7 @@ def _load_rules_file(path: str):
 
 
 def _cmd_analyze(args) -> int:
-    from repro.lint import structural_report
+    from repro.lint import run_lint
 
     try:
         master = relation_from_csv(args.master)
@@ -68,7 +68,7 @@ def _cmd_analyze(args) -> int:
     # Structural preflight: a rule naming an unknown attribute used to die
     # deep inside comp_c_region with a bare KeyError; fail with the
     # diagnostics instead.
-    report = structural_report(rules, schema)
+    report = run_lint(rules, schema)
     if report.errors:
         print(f"error: {args.rules} fails structural lint:", file=sys.stderr)
         for diagnostic in report.errors:
@@ -154,44 +154,41 @@ def _cmd_lint(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.fix:
-        # Fixed-point loop: removing a rule can surface new findings (a
-        # subsumed rule becomes dead, a region extension becomes minimal),
-        # so re-lint after each batch.  Five rounds bounds pathological
-        # rule files; a converged run's last lint is the one reported.
-        applied_total = 0
-        for _ in range(5):
-            try:
-                report = run_lint(rules, store.schema, store, region=region)
-            except StoreError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            result = apply_fixits(rules, report.diagnostics, region)
-            if not result.changed:
-                break
-            rules, region = result.rules, result.region
-            applied_total += len(result.applied)
-            for fixit in result.applied:
-                print(f"fix: {json.dumps(fixit, sort_keys=True, default=str)}")
-        else:
-            print("error: --fix did not reach a fixed point after 5 rounds",
-                  file=sys.stderr)
+    # With --fix this is a fixed-point loop: removing a rule can surface
+    # new findings (a subsumed rule becomes dead, a region extension becomes
+    # minimal), so re-lint after each batch.  Five rounds bound pathological
+    # rule files.  The last lint ran on the final rules and region and is
+    # the one reported; without --fix the file is linted exactly once.
+    applied_total = 0
+    for _ in range(5):
+        try:
+            report = run_lint(rules, store.schema, store, region=region)
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        if applied_total:
-            text = rule_io.dumps(rules, region=region)
-            with open(args.rules, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            rule_lines = rule_io.rule_source_lines(text + "\n", len(rules))
-            print(f"fix: applied {applied_total} fix-it(s) and rewrote "
-                  f"{args.rules}")
-        else:
-            print("fix: no applyable fix-its")
-
-    try:
-        report = run_lint(rules, store.schema, store, region=region)
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if not args.fix:
+            break
+        result = apply_fixits(rules, report.diagnostics, region)
+        if not result.changed:
+            break
+        rules, region = result.rules, result.region
+        applied_total += len(result.applied)
+        for fixit in result.applied:
+            print(f"fix: {json.dumps(fixit, sort_keys=True, default=str)}")
+    else:
+        print("error: --fix did not reach a fixed point after 5 rounds",
+              file=sys.stderr)
         return 2
+    if applied_total:
+        text = rule_io.dumps(rules, region=region)
+        with open(args.rules, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        rule_lines = rule_io.rule_source_lines(text + "\n", len(rules))
+        print(f"fix: applied {applied_total} fix-it(s) and rewrote "
+              f"{args.rules}")
+    elif args.fix:
+        print("fix: no applyable fix-its")
+
     if args.format == "text":
         rendered = report.describe()
     elif args.format == "json":

@@ -93,8 +93,10 @@ I208    region-extension          Minimal assured-attribute extension that
                                   closure-level when over budget.
 ======  ========================  =========================================
 
-Master-aware results are cached per store keyed on ``(rule fingerprint,
-store version, budgets, region)``; see :mod:`repro.lint.runner`.  Fix-its
+Every run reads master data as the store holds it at that moment:
+findings are never cached across runs, so a report always describes the
+``Dm`` it names in ``master_version`` — also when other clients mutate a
+shared ``serve-master`` between runs; see :mod:`repro.lint.runner`.  Fix-its
 (``remove_rule`` from W103/W104/W108, ``extend_region`` from I208) are
 applied by ``repro lint --fix`` via :mod:`repro.lint.fixit`.
 """
@@ -123,10 +125,8 @@ from repro.lint.fixit import FixitResult, apply_fixits
 from repro.lint.runner import (
     PREFLIGHT_MODES,
     preflight,
-    rules_fingerprint,
     run_lint,
     sarif_rule_metadata,
-    structural_report,
 )
 
 __all__ = [
@@ -145,8 +145,6 @@ __all__ = [
     "apply_fixits",
     "PREFLIGHT_MODES",
     "preflight",
-    "rules_fingerprint",
     "run_lint",
     "sarif_rule_metadata",
-    "structural_report",
 ]

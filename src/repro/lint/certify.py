@@ -40,9 +40,7 @@ when another pass already owns the finding (empty master: W201; rules
 naming unknown attributes: E101).
 
 **Caching.**  The certification is computed once per lint run
-(``LintContext.scratch``), so E205, W206, I208 and W202 share one object;
-across runs, the version-keyed master cache of :mod:`repro.lint.runner`
-answers every repeat at the same store version.
+(``LintContext.scratch``), so E205, W206, I208 and W202 share one object.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ under a stable diagnostic code.  Passes come in two families:
   coNP-complete (Theorems 1–2 of the paper).
 
 The registry is the single source of truth for the code table rendered in
-the package docstring, the SARIF rule metadata, and the runner's pass
-selection.
+the package docstring, the SARIF rule metadata, and the passes the runner
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.schema import RelationSchema
 from repro.lint.diagnostics import Diagnostic
@@ -111,13 +111,3 @@ def registered_passes(family: Optional[str] = None) -> Tuple[LintPass, ...]:
         passes = (p for p in passes if p.family == family)
     return tuple(passes)
 
-
-def passes_for_codes(codes: Sequence[str]) -> Tuple[LintPass, ...]:
-    """Resolve explicit pass codes (unknown codes raise ``ValueError``)."""
-    missing = [c for c in codes if c not in _REGISTRY]
-    if missing:
-        raise ValueError(
-            f"unknown lint pass code(s) {missing}; registered: "
-            f"{sorted(_REGISTRY)}"
-        )
-    return tuple(_REGISTRY[c] for c in codes)

@@ -1,31 +1,26 @@
-"""Running lint passes: entry points, preflight gates, and the cache.
+"""Running lint passes: the entry point and the preflight gate.
 
-:func:`run_lint` is the full analyzer (structural + master-aware);
-:func:`structural_report` is the cheap subset every preflight uses; and
-:func:`preflight` is the shared gate the batch engine and the CLI call —
-it raises :class:`~repro.lint.diagnostics.LintError` (``"error"``), prints
-to a stream (``"warn"``), or does nothing (``"off"``).
+:func:`run_lint` runs every structural pass, plus the master-aware passes
+when master data is given; :func:`preflight` is the shared gate the batch
+engine and the CLI call — it raises
+:class:`~repro.lint.diagnostics.LintError` (``"error"``), prints to a
+stream (``"warn"``), or does nothing (``"off"``).
 
-Master-aware results are cached per store, keyed on ``(rule fingerprint,
-store version, analysis budgets)`` — the same version-stamp discipline as
-every other derived cache in the repo (regions, the Suggest⁺ BDD, probe
-memos): a master mutation moves ``store.version`` and the stale entry
-simply never matches again.  The cache is a ``WeakKeyDictionary`` on the
-store, so it dies with the store and never pins one alive.
+Every run reads the store as it is now: findings are not cached across
+runs, so a master mutated by another client (a shared ``serve-master``)
+is never answered with findings about an older version.  Within one run
+the certification is computed once and shared between passes
+(``LintContext.scratch``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
-import weakref
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, Optional, Sequence, TextIO
 
 from repro import obs
 from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore, as_master_store
-from repro.io import region_to_dict, rules_to_dicts
 from repro.lint.diagnostics import Diagnostic, LintError, LintReport
 from repro.lint.registry import (
     MASTER,
@@ -34,45 +29,6 @@ from repro.lint.registry import (
     LintPass,
     registered_passes,
 )
-
-#: Per-store cache of master-aware findings:
-#: ``store -> {(fingerprint, version, budgets): tuple[Diagnostic, ...]}``.
-_MASTER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def rules_fingerprint(rules: Iterable) -> str:
-    """A stable content hash of a rule set (names included: diagnostics
-    mention rule names, so renaming must invalidate cached findings)."""
-    canonical = json.dumps(
-        rules_to_dicts(rules), sort_keys=True, default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _budget_key(ctx: LintContext) -> Tuple[int, ...]:
-    return (
-        ctx.max_master_rows,
-        ctx.max_witness_masters,
-        ctx.max_witness_pairs,
-        ctx.max_chase_states,
-        ctx.max_instantiations,
-        ctx.max_extension_size,
-        ctx.max_extension_checks,
-    )
-
-
-def _region_key(ctx: LintContext) -> Optional[str]:
-    """A stable fingerprint of the declared region (``None`` when absent).
-
-    Certification findings depend on the region being certified, so it
-    must participate in the master-cache key alongside the budgets.
-    """
-    if ctx.region is None:
-        return None
-    canonical = json.dumps(
-        region_to_dict(ctx.region), sort_keys=True, default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _run_family(
@@ -85,39 +41,11 @@ def _run_family(
     return out
 
 
-def _master_diagnostics(
-    passes: Sequence[LintPass], ctx: LintContext
-) -> List[Diagnostic]:
-    """Master-aware findings, cached on ``(fingerprint, version, budgets)``.
-
-    The pass selection participates in the key too: a run restricted to
-    one code must not poison the cache for a later full run.
-    """
-    store = ctx.store
-    key = (
-        rules_fingerprint(ctx.rules),
-        store.version,
-        _budget_key(ctx),
-        _region_key(ctx),
-        tuple(p.code for p in passes),
-    )
-    try:
-        per_store = _MASTER_CACHE.setdefault(store, {})
-    except TypeError:  # store not weakref-able: just run uncached
-        return _run_family(passes, ctx)
-    cached = per_store.get(key)
-    if cached is None:
-        cached = tuple(_run_family(passes, ctx))
-        per_store[key] = cached
-    return list(cached)
-
-
 def run_lint(
     rules: Sequence,
     schema: RelationSchema,
     master=None,
     master_schema: Optional[RelationSchema] = None,
-    codes: Optional[Sequence[str]] = None,
     **budgets,
 ) -> LintReport:
     """Run lint passes over ``(rules, schema, master)`` → :class:`LintReport`.
@@ -125,8 +53,7 @@ def run_lint(
     *master* may be a :class:`MasterStore`, a ``Relation``, or ``None``
     (structural passes only).  *master_schema* defaults to the store's
     schema when a master is given, else to *schema* (the paper's
-    same-schema setting).  *codes* restricts the run to specific
-    diagnostic codes; *budgets* override :class:`LintContext` analysis
+    same-schema setting).  *budgets* override :class:`LintContext` analysis
     budgets (``max_master_rows``, ``max_witness_pairs``,
     ``max_instantiations``, ...) or pin the certification ``region``.
     """
@@ -144,50 +71,14 @@ def run_lint(
     )
     # NB: `if store` would be wrong here — an *empty* store has len() == 0
     # and is falsy, but empty master data is exactly what W201 must flag.
-    if codes is None:
-        structural = registered_passes(STRUCTURAL)
-        master_passes = (
-            registered_passes(MASTER) if store is not None else ()
-        )
-    else:
-        from repro.lint.registry import passes_for_codes
-
-        selected = passes_for_codes(codes)
-        structural = tuple(p for p in selected if p.family == STRUCTURAL)
-        master_passes = tuple(
-            p for p in selected
-            if p.family == MASTER and store is not None
-        )
-    diagnostics = _run_family(structural, ctx)
-    if master_passes:
-        diagnostics.extend(_master_diagnostics(master_passes, ctx))
+    passes = registered_passes(STRUCTURAL)
+    if store is not None:
+        passes += registered_passes(MASTER)
     return LintReport(
-        diagnostics=diagnostics,
+        diagnostics=_run_family(passes, ctx),
         rules_linted=len(ctx.rules),
-        passes_run=tuple(
-            p.code for p in (*structural, *master_passes)
-        ),
+        passes_run=tuple(p.code for p in passes),
         master_version=store.version if store is not None else None,
-    )
-
-
-def structural_report(
-    rules: Sequence,
-    schema: RelationSchema,
-    master_schema: Optional[RelationSchema] = None,
-) -> LintReport:
-    """The structural-only subset — the cheap preflight every expensive
-    precompute path runs first."""
-    ctx = LintContext(
-        rules=tuple(rules),
-        schema=schema,
-        master_schema=master_schema if master_schema is not None else schema,
-    )
-    structural = registered_passes(STRUCTURAL)
-    return LintReport(
-        diagnostics=_run_family(structural, ctx),
-        rules_linted=len(ctx.rules),
-        passes_run=tuple(p.code for p in structural),
     )
 
 
@@ -232,7 +123,7 @@ def preflight(
         if report.errors:
             raise LintError(report, context=context)
         return report
-    report = structural_report(rules, schema, master_schema)
+    report = run_lint(rules, schema, master_schema=master_schema)
     if mode == "error":
         if report.errors:
             raise LintError(report, context=context)

@@ -1,4 +1,4 @@
-"""The repro.lint static analyzer: passes, reports, preflight, caching."""
+"""The repro.lint static analyzer: passes, reports, preflight, live master."""
 
 import json
 
@@ -9,6 +9,7 @@ from repro.core.patterns import ANY, Const, NotConst, PatternTableau, PatternTup
 from repro.core.regions import Region
 from repro.core.rules import EditingRule
 from repro.engine.relation import Relation
+from repro.engine.remote import MasterServer, RemoteStore
 from repro.engine.schema import RelationSchema, finite_domain
 from repro.engine.store import InMemoryStore
 from repro.engine.values import NULL
@@ -19,12 +20,9 @@ from repro.lint import (
     Severity,
     preflight,
     registered_passes,
-    rules_fingerprint,
     run_lint,
     sarif_rule_metadata,
-    structural_report,
 )
-from repro.lint.runner import _MASTER_CACHE
 
 
 SCHEMA = RelationSchema("r", ["a", "b", "c", "d"])
@@ -52,7 +50,7 @@ def _master(rows, schema=SCHEMA):
 
 
 def test_e101_unknown_attribute_all_roles():
-    report = structural_report(
+    report = run_lint(
         [
             _rule("a", "oops", name="bad-rhs"),
             _rule("nope", "b", name="bad-lhs"),
@@ -78,7 +76,7 @@ def test_e101_unknown_attribute_all_roles():
 
 def test_e101_suggests_close_match():
     schema = RelationSchema("r", ["name", "city", "zip"])
-    report = structural_report([_rule("zip", "ciyt", name="typo")], schema)
+    report = run_lint([_rule("zip", "ciyt", name="typo")], schema)
     findings = [d for d in report if d.code == "E101"]
     assert findings and all(
         "did you mean 'city'" in d.remedy for d in findings
@@ -88,7 +86,7 @@ def test_e101_suggests_close_match():
 def test_e102_unsatisfiable_pattern_and_guard():
     bit = finite_domain("bit", {0, 1})
     schema = RelationSchema("r", [("a", bit), ("b", bit)])
-    report = structural_report(
+    report = run_lint(
         [
             _rule("a", "b", pattern={"a": Const(7)}, name="bad-const"),
             _rule("a", "b", guard={"a": Const(9)}, name="bad-guard"),
@@ -102,7 +100,7 @@ def test_e102_unsatisfiable_pattern_and_guard():
 
 
 def test_w103_duplicate_rule_has_fixit():
-    report = structural_report(
+    report = run_lint(
         [_rule("a", "b", name="first"), _rule("a", "b", name="copy")],
         SCHEMA,
     )
@@ -113,7 +111,7 @@ def test_w103_duplicate_rule_has_fixit():
 
 
 def test_w104_subsumed_by_wildcard_and_by_negation():
-    report = structural_report(
+    report = run_lint(
         [
             _rule("a", "b", name="general"),  # no pattern: always applies
             _rule("a", "b", pattern={"c": Const(1)}, name="narrow"),
@@ -129,7 +127,7 @@ def test_w104_subsumed_by_wildcard_and_by_negation():
 
 
 def test_w104_not_fired_for_disjoint_or_exact_duplicates():
-    report = structural_report(
+    report = run_lint(
         [
             _rule("a", "b", pattern={"c": Const(1)}, name="one"),
             _rule("a", "b", pattern={"c": Const(2)}, name="two"),
@@ -143,7 +141,7 @@ def test_w104_not_fired_for_disjoint_or_exact_duplicates():
 
 
 def test_w105_dependency_cycle_witness():
-    report = structural_report(
+    report = run_lint(
         [
             _rule("a", "b", name="ab"),
             _rule("b", "c", name="bc"),
@@ -157,7 +155,7 @@ def test_w105_dependency_cycle_witness():
 
 
 def test_w106_self_referential_premise():
-    report = structural_report(
+    report = run_lint(
         [_rule("a", "b", pattern={"b": NotConst(NULL)}, name="selfie")],
         SCHEMA,
     )
@@ -165,14 +163,14 @@ def test_w106_self_referential_premise():
     assert finding.rule == "selfie"
     assert finding.data["attr"] == "b"
     # A wildcard on the target poses no condition: not self-referential.
-    clean = structural_report(
+    clean = run_lint(
         [_rule("a", "b", pattern={"b": ANY}, name="ok")], SCHEMA
     )
     assert "W106" not in clean.codes()
 
 
 def test_i107_unfixable_attributes():
-    report = structural_report([_rule("a", "b"), _rule("b", "c")], SCHEMA)
+    report = run_lint([_rule("a", "b"), _rule("b", "c")], SCHEMA)
     (finding,) = [d for d in report if d.code == "I107"]
     assert finding.severity is Severity.INFO
     assert finding.data["attrs"] == ["a", "d"]
@@ -181,14 +179,14 @@ def test_i107_unfixable_attributes():
 def test_w108_dead_rules_unreachable_from_mandatory_start():
     # rhs = {b, c}; mandatory = {a, d}; neither b nor c is derivable from
     # {a, d}, so both rules can never fire.
-    report = structural_report(
+    report = run_lint(
         [_rule("b", "c", name="bc"), _rule("c", "b", name="cb")],
         SCHEMA,
     )
     dead = {d.rule for d in report if d.code == "W108"}
     assert dead == {"bc", "cb"}
     # A proper chain from a mandatory attribute is alive.
-    alive = structural_report(
+    alive = run_lint(
         [_rule("a", "b", name="ab"), _rule("b", "c", name="bc")], SCHEMA
     )
     assert "W108" not in alive.codes()
@@ -412,41 +410,53 @@ def test_golden_dblp_lint(dblp):
     assert not report.fails("error")
 
 
-# -- caching and fingerprints -------------------------------------------------
+# -- every run reads the live master ------------------------------------------
 
 
-def test_master_results_cached_until_version_moves():
-    # A NULL master value keeps a W204 finding alive through the certify
-    # era (hosp/dblp now lint clean, so they no longer exercise sharing).
+def _null_master(schema):
+    # A NULL master value keeps a W204 finding alive (hosp/dblp lint clean,
+    # so they cannot show a finding disappear).
+    return _master([(1, NULL, "x"), (2, 5, "y")], schema)
+
+
+def test_lint_rereads_master_after_mutation():
     schema = RelationSchema("r", ["k", "v", "w"])
-    relation = _master([(1, NULL, "x"), (2, 5, "y")], schema)
+    relation = _null_master(schema)
     store = InMemoryStore(relation)
     rules = [_rule("k", "v", name="reader")]
-    _MASTER_CACHE.pop(store, None)
-    first = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 1
-    second = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 1  # same key: cache hit
-    # Cached Diagnostic objects are shared, not recomputed.
-    first_masters = [d for d in first if d.code == "W204"]
-    second_masters = [d for d in second if d.code == "W204"]
-    assert first_masters
-    assert all(a is b for a, b in zip(first_masters, second_masters))
-    store.insert(relation.first())
-    third = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 2  # version moved: new entry
-    assert third.master_version == store.version
+    assert "W204" in run_lint(rules, schema, store).codes()
+    store.delete(relation.first())
+    after = run_lint(rules, schema, store)
+    assert "W204" not in after.codes()
+    assert after.master_version == store.version
 
 
-def test_fingerprint_sensitive_to_rules_and_names():
-    base = [_rule("a", "b", name="x")]
-    assert rules_fingerprint(base) == rules_fingerprint(
-        [_rule("a", "b", name="x")]
+def test_remote_lint_sees_another_clients_mutation():
+    # Two clients of one shared master: a finding client A reported must
+    # not outlive the row client B deleted.
+    schema = RelationSchema("r", ["k", "v", "w"])
+    backing = InMemoryStore(_null_master(schema))
+    rules = [_rule("k", "v", name="reader")]
+    with MasterServer(backing) as server:
+        client_a = RemoteStore(server.url)
+        client_b = RemoteStore(server.url)
+        fresh = None
+        try:
+            assert "W204" in run_lint(rules, schema, client_a).codes()
+            (null_row,) = [row for row in client_b if row["v"] is NULL]
+            assert client_b.delete(null_row)
+            again = run_lint(rules, schema, client_a)
+            fresh = RemoteStore(server.url)
+            expected = run_lint(rules, schema, fresh)
+        finally:
+            for client in (client_a, client_b, fresh):
+                if client is not None:
+                    client.close()
+    assert "W204" not in expected.codes()
+    assert expected.master_version == backing.version
+    assert (again.codes(), again.master_version) == (
+        expected.codes(), expected.master_version,
     )
-    assert rules_fingerprint(base) != rules_fingerprint(
-        [_rule("a", "b", name="y")]
-    )
-    assert rules_fingerprint(base) != rules_fingerprint([_rule("a", "c")])
 
 
 # -- preflight gates ----------------------------------------------------------
@@ -555,7 +565,7 @@ def well_typed_rules(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(well_typed_rules())
 def test_structural_passes_never_raise(rules):
-    report = structural_report(rules, SCHEMA)
+    report = run_lint(rules, SCHEMA)
     # Invariants: deterministic order, well-typed rules yield no E101, and
     # rendering never raises either.
     assert report.codes() == [d.code for d in sorted(
