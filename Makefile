@@ -36,8 +36,9 @@ lint-rules:
 # Exact certification gate over the shipped rule sets: the full analyzer
 # (structural + master-aware + E205/W206/I208) must reproduce the
 # committed golden JSON/SARIF byte-for-byte, and a `--fix` pass over the
-# already-clean sets must be a no-op (fix-it idempotence).  Runs from
-# inside the fixtures dir so artifact URIs in the goldens stay relative.
+# already-clean sets must be a no-op (fix-it idempotence) whose JSON
+# report is the golden JSON too.  Runs from inside the fixtures dir so
+# artifact URIs in the goldens stay relative.
 CERTIFY_DIR ?= /tmp/lint-fixtures
 certify:
 	$(PYTHON) -m repro.lint.fixtures --out-dir $(CERTIFY_DIR)
@@ -60,9 +61,11 @@ certify:
 		cd $(CERTIFY_DIR) && \
 		PYTHONPATH=$(CURDIR)/src $(PYTHON) -m repro lint \
 			--rules $$name.fixed.json --master $$name.master.csv \
-			--fix > /dev/null && \
+			--fix --format json --output $$name.fix.json > /dev/null && \
 		cd $(CURDIR) && \
-		cmp $(CERTIFY_DIR)/$$name.rules.json $(CERTIFY_DIR)/$$name.fixed.json \
+		cmp $(CERTIFY_DIR)/$$name.rules.json $(CERTIFY_DIR)/$$name.fixed.json && \
+		diff -u tests/golden/$$name.certify.json \
+			$(CERTIFY_DIR)/$$name.fix.json \
 		|| exit 1; \
 	done
 
