@@ -4,8 +4,10 @@
 repeatedly firing rules whose premise (``X ∪ Xp``) is already covered.  It
 over-approximates what any chase can validate: if the closure misses an
 attribute, no tableau can make ``(Z, Tc)`` a certain region, which gives the
-region-search algorithms a cheap pruning test.  ``one_hop_cover`` is the
-myopic single-step variant the GRegion baseline scores with (Sect. 6).
+region-search algorithms a cheap pruning test.  ``grow_closure`` is the
+closure-greedy growth Suggest and the region searches share;
+``one_hop_cover`` is the myopic single-step variant the GRegion baseline
+scores with (Sect. 6).
 """
 
 from __future__ import annotations
@@ -31,6 +33,36 @@ def attribute_closure(attrs: Iterable, rules: Iterable) -> frozenset:
                 remaining.append(rule)
         pending = remaining
     return frozenset(closure)
+
+
+def grow_closure(schema, rules: Iterable, chosen: Iterable,
+                 fixed: Iterable = ()) -> list:
+    """Extend *chosen* until the closure of ``fixed ∪ chosen`` covers R.
+
+    Each step adds the attribute (outside *fixed* and *chosen*) whose
+    addition grows the attribute closure the most, ties broken by schema
+    order; growth stops once the closure covers every attribute of
+    *schema* or nothing is left to add.  Returns *chosen* with the added
+    attributes appended in the order they were picked.
+    """
+    rules = list(rules)
+    fixed = set(fixed)
+    chosen = list(chosen)
+    all_attrs = set(schema.attributes)
+    while attribute_closure(fixed.union(chosen), rules) < all_attrs:
+        remaining = [
+            a for a in schema.attributes if a not in fixed and a not in chosen
+        ]
+        if not remaining:
+            break
+        chosen.append(max(
+            remaining,
+            key=lambda a: (
+                len(attribute_closure(fixed.union(chosen, (a,)), rules)),
+                -schema.index_of(a),
+            ),
+        ))
+    return chosen
 
 
 def one_hop_cover(attr: str, rules: Iterable) -> frozenset:

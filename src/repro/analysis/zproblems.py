@@ -28,7 +28,11 @@ from repro.analysis.active_domain import (
     attribute_active_domain,
     read_attrs,
 )
-from repro.analysis.closure import attribute_closure, mandatory_attrs
+from repro.analysis.closure import (
+    attribute_closure,
+    grow_closure,
+    mandatory_attrs,
+)
 from repro.analysis.consistency import check_pattern
 from repro.core.patterns import ANY, Const, NotConst, PatternTuple
 from repro.core.regions import Region
@@ -337,17 +341,12 @@ def z_minimum_greedy(
     """
     rules = list(rules)
     all_attrs = set(schema.attributes)
-    z = [a for a in schema.attributes if a in mandatory_attrs(schema, rules)]
+    z = grow_closure(schema, rules, (
+        a for a in schema.attributes if a in mandatory_attrs(schema, rules)
+    ))
 
     def closure_size(candidate):
         return len(attribute_closure(z + [candidate], rules))
-
-    while attribute_closure(z, rules) < all_attrs:
-        remaining = [a for a in schema.attributes if a not in z]
-        if not remaining:
-            break
-        best = max(remaining, key=lambda a: (closure_size(a), -schema.index_of(a)))
-        z.append(best)
 
     while True:
         if attribute_closure(z, rules) >= all_attrs:

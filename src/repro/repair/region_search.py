@@ -25,6 +25,7 @@ from typing import Sequence
 from repro.analysis.active_domain import ActiveDomainCache
 from repro.analysis.closure import (
     attribute_closure,
+    grow_closure,
     mandatory_attrs,
     one_hop_cover,
 )
@@ -181,19 +182,7 @@ def comp_c_region(
 
     # When even closure fails from the mandatory base, grow greedily first.
     if not seeds:
-        z = list(base)
-        while attribute_closure(z, rules) < all_attrs:
-            remaining = [a for a in schema.attributes if a not in z]
-            if not remaining:
-                break
-            best = max(
-                remaining,
-                key=lambda a: (
-                    len(attribute_closure(z + [a], rules)),
-                    -schema.index_of(a),
-                ),
-            )
-            z.append(best)
+        z = grow_closure(schema, rules, base)
         consider(tuple(a for a in schema.attributes if a in z))
 
     candidates = []
@@ -256,18 +245,7 @@ def g_region(
 
     # Repair phase: the may-fix sets over-promise; grow until the attribute
     # closure really reaches R.
-    while attribute_closure(z, rules) < set(all_attrs):
-        remaining = [a for a in all_attrs if a not in z]
-        if not remaining:
-            break
-        best = max(
-            remaining,
-            key=lambda a: (
-                len(attribute_closure(z + [a], rules)),
-                -schema.index_of(a),
-            ),
-        )
-        z.append(best)
+    z = grow_closure(schema, rules, z)
 
     z_tuple = tuple(a for a in schema.attributes if a in z)
     region, checked, valid = _validated_tableau(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.closure import attribute_closure
+from repro.analysis.closure import attribute_closure, grow_closure
 from repro.analysis.consistency import check_pattern
 from repro.analysis.zproblems import (
     attr_master_options,
@@ -139,21 +139,9 @@ def applicable_rules(
 
 def _grow_suggestion(schema, z: frozenset, applicable: list) -> tuple:
     """Seed + closure-greedy growth of the suggestion set ``S``."""
-    all_attrs = set(schema.attributes)
     fixable = {rule.rhs for rule in applicable}
-    s = [a for a in schema.attributes if a not in z and a not in fixable]
-    while attribute_closure(set(z) | set(s), applicable) < all_attrs:
-        remaining = [a for a in schema.attributes if a not in z and a not in s]
-        if not remaining:
-            break
-        best = max(
-            remaining,
-            key=lambda a: (
-                len(attribute_closure(set(z) | set(s) | {a}, applicable)),
-                -schema.index_of(a),
-            ),
-        )
-        s.append(best)
+    seed = [a for a in schema.attributes if a not in z and a not in fixable]
+    s = grow_closure(schema, applicable, seed, fixed=z)
     return tuple(a for a in schema.attributes if a in s)
 
 
