@@ -177,14 +177,6 @@ class MetricsSnapshot:
             (name, label_key(labels)), HistogramSnapshot()
         )
 
-    def series_names(self) -> set:
-        """Every distinct metric name present in the snapshot."""
-        return (
-            {name for name, _ in self.counters}
-            | {name for name, _ in self.gauges}
-            | {name for name, _ in self.histograms}
-        )
-
 
 class _Histogram:
     """Mutable histogram state: exact count/sum/min/max + ring reservoir."""

@@ -145,17 +145,19 @@ def test_transfix_equals_naive_under_master_guard():
     """Guards filter master matches identically on both paths: the
     disagreeing master tuple is invisible, so no conflict and the guarded
     value is used."""
-    r, master, rules = _setup(
-        [(1, 2, 3, 4), (1, 9, 0, 4)],       # both match key w=1
-        [(("a",), ("w",), "b", "x", None)],
-    )
-    rules[0].master_guard = PatternTuple({"y": neq(0)})
+    r, master, _ = _setup([(1, 2, 3, 4), (1, 9, 0, 4)], [])  # both w=1
+
+    def guarded(guard):
+        return [EditingRule(("a",), ("w",), "b", "x", PatternTuple({}),
+                            name="r0", master_guard=PatternTuple(guard))]
+
+    rules = guarded({"y": neq(0)})
     _assert_equivalent(Row(r, [1, 0, 0, 0]), {"a"}, rules, master)
     result = transfix(Row(r, [1, 0, 0, 0]), {"a"}, rules, master)
     assert result.row["b"] == 2             # the y=0 tuple was filtered
 
     # A guard nothing satisfies: the rule never fires on either path.
-    rules[0].master_guard = PatternTuple({"z": 99})
+    rules = guarded({"z": 99})
     _assert_equivalent(Row(r, [1, 0, 0, 0]), {"a"}, rules, master)
     assert transfix(Row(r, [1, 0, 0, 0]), {"a"}, rules, master).applied == []
 
