@@ -279,6 +279,16 @@ class MasterStore(ABC):
     def version(self) -> int:
         """Monotonic counter; moves iff the master data changed."""
 
+    def poll_version(self) -> int:
+        """:attr:`version` as the backing data holds it now.
+
+        In-process backends are always current.  A client-side store
+        (:class:`~repro.engine.remote.RemoteStore`) answers from caches
+        that are only as fresh as its last response, so it overrides this
+        with one round-trip that reconciles them first.
+        """
+        return self.version
+
     @abstractmethod
     def __len__(self) -> int:
         """Number of master tuples."""

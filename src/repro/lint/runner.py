@@ -7,10 +7,11 @@ engine and the CLI call — it raises
 stream (``"warn"``), or does nothing (``"off"``).
 
 Every run reads the store as it is now: findings are not cached across
-runs, so a master mutated by another client (a shared ``serve-master``)
-is never answered with findings about an older version.  Within one run
-the certification is computed once and shared between passes
-(``LintContext.scratch``).
+runs, and a run starts with :meth:`~repro.engine.store.MasterStore.\
+poll_version`, so a master mutated by another client (a shared
+``serve-master``) is never answered with findings about an older
+version.  Within one run the certification is computed once and shared
+between passes (``LintContext.scratch``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ def run_lint(
     store: Optional[MasterStore] = None
     if master is not None:
         store = as_master_store(master)
+        # Another client may have mutated a shared master since this
+        # client's last response; without the poll a pass could read a
+        # cached length or probe from before that mutation.
+        store.poll_version()
     if master_schema is None:
         master_schema = store.schema if store is not None else schema
     ctx = LintContext(
