@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test conformance differential invalidation smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
+.PHONY: test conformance differential invalidation smoke metrics-smoke bench bench-store bench-invalidation paper example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -101,9 +101,9 @@ invalidation:
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and
 # fails if the batch engine loses its >=2x margin over naive fix_stream.
-# Covers the executor matrix: the CPU-bound oracle series runs the same
-# workload sequentially, with a 2-thread fan-out and with a 2-worker
-# process pool (the process speedup floor is enforced on >=2-core hosts).
+# Covers both ways an engine runs: the CPU-bound oracle series runs the
+# same workload inline and on a 2-worker process pool (the process
+# speedup floor is enforced on >=2-core hosts).
 # (2 workers cap the ideal speedup at 2x, so the smoke floor is 1.2x;
 # the full bench runs 4 workers against the default 2x floor.)
 smoke:
@@ -137,6 +137,14 @@ bench-store:
 bench-invalidation:
 	$(PYTHON) benchmarks/bench_store.py --quick --enforce-speedup \
 		--output $${BENCH_INVALIDATION:-/tmp/BENCH_store_invalidation.json}
+
+# The paper's own shapes (Tables 1-2, Figs. 9-12, ablations A1-A4): every
+# benchmarks/bench_*.py module asserts its figure's qualitative shape.
+# pytest.ini keeps benchmarks/ out of tier-1 collection, so the module
+# pattern is given here.  Without pytest-benchmark (or under
+# -p no:benchmark) benchmarks/conftest.py calls each timed body once.
+paper:
+	$(PYTHON) -m pytest benchmarks/ -o python_files='bench_*.py' -q
 
 example:
 	$(PYTHON) examples/batch_throughput.py

@@ -6,23 +6,22 @@ Seeds the repo's perf trajectory (``BENCH_batch.json``): the baseline is
 sequential loop with fresh ``Suggest`` calls every round — and the
 contender is :class:`repro.repair.batch.BatchRepairEngine` with all shared
 caches enabled (precomputed regions, master indexes, the Suggest⁺ BDD and
-validated-pattern memoization), sequentially and with a thread fan-out.
+validated-pattern memoization), monitoring inline on one thread.
 
 An ``obs_overhead`` series re-runs the sequential hosp batch with
 ``repro.obs`` telemetry enabled and gates the cost (default: within 5%
 of the plain sequential throughput) — the observability layer must stay
 effectively free on the hot path.
 
-A second series pins the executor decision rule on a **CPU-bound oracle
+A second series gates the process pool on a **CPU-bound oracle
 workload** (:class:`repro.repair.oracle.CpuBoundOracle`: feedback that
-computes its answers): the thread fan-out stays GIL-flat there, while the
-process pool (``executor="process"``) scales with physical cores.  The
-series cuts the stream into two chunks per worker, so every worker of the
-pool gets work and the speedup measures the whole pool.  The
-process assertion (>= ``--min-process-speedup`` over sequential) is only
-enforced when the machine actually has >= 2 usable cores — on a single
-core no executor can beat sequential, and the series then only checks
-bit-identical output.
+computes its answers, holding the GIL), where the pool
+(``concurrency > 1``) scales with physical cores.  The series cuts the
+stream into two chunks per worker, so every worker of the pool gets work
+and the speedup measures the whole pool.  The process assertion
+(>= ``--min-process-speedup`` over sequential) is only enforced when the
+machine actually has >= 2 usable cores — on a single core no pool can
+beat sequential, and the series then only checks bit-identical output.
 
 Run:  PYTHONPATH=src python benchmarks/bench_batch_throughput.py [--quick]
 
@@ -84,11 +83,11 @@ def _time_naive(bundle, data, regions) -> dict:
     }
 
 
-def _time_batch(bundle, data, regions, concurrency: int) -> dict:
+def _time_batch(bundle, data, regions) -> dict:
     started = time.perf_counter()
     engine = BatchRepairEngine(
         bundle.rules, bundle.master, bundle.schema,
-        regions=regions, use_bdd=True, memoize=True, concurrency=concurrency,
+        regions=regions, use_bdd=True, memoize=True,
     )
     result = engine.run_dirty(data)
     elapsed = time.perf_counter() - started  # engine setup included
@@ -98,14 +97,13 @@ def _time_batch(bundle, data, regions, concurrency: int) -> dict:
     return out
 
 
-def _time_cpu_bound(bundle, data, regions, executor, workers, cost,
-                    chunk_size):
+def _time_cpu_bound(bundle, data, regions, workers, cost, chunk_size):
     """One CPU-bound-oracle run; returns (stats dict, fixed rows).
 
-    Timing includes engine construction — for the process executor that
+    Timing includes engine construction — for the process pool that
     means pool spawn and per-worker rehydration (regions, indexes, memo
     tables), the real cost a deployment would pay.  ``use_bdd=False`` so
-    sessions are bit-identical across executors by construction and the
+    sessions are bit-identical to the inline run by construction and the
     identity check below is exact.
     """
     pairs = [
@@ -116,13 +114,12 @@ def _time_cpu_bound(bundle, data, regions, executor, workers, cost,
     engine = BatchRepairEngine(
         bundle.rules, bundle.master, bundle.schema,
         regions=regions, use_bdd=False, memoize=True,
-        executor=executor, concurrency=workers, chunk_size=chunk_size,
+        concurrency=workers, chunk_size=chunk_size,
     )
     with engine:
         result = engine.run(pairs)
     elapsed = time.perf_counter() - started
     stats = {
-        "executor": executor,
         "workers": workers,
         "elapsed_s": round(elapsed, 4),
         "throughput_tps": round(result.report.tuples / elapsed, 2),
@@ -144,11 +141,11 @@ def _measure_obs_overhead(bundle, data, regions, repeats: int = 3) -> dict:
     best = {"plain": 0.0, "instrumented": 0.0}
     recorded = 0
     for _ in range(repeats):
-        out = _time_batch(bundle, data, regions, concurrency=1)
+        out = _time_batch(bundle, data, regions)
         best["plain"] = max(best["plain"], out["throughput_tps"])
         obs.enable()
         try:
-            out = _time_batch(bundle, data, regions, concurrency=1)
+            out = _time_batch(bundle, data, regions)
             recorded = sum(
                 value
                 for (name, _), value in obs.snapshot().counters.items()
@@ -174,7 +171,7 @@ def _measure_obs_overhead(bundle, data, regions, repeats: int = 3) -> dict:
 
 
 def _run_cpu_bound_series(quick: bool, workers: int) -> dict:
-    """Sequential vs thread vs process on the CPU-bound oracle workload."""
+    """Sequential vs the process pool on the CPU-bound oracle workload."""
     cores = _usable_cores()
     # Scaled so the oracle/monitoring compute dominates pool spawn and
     # per-worker rehydration by a wide margin — otherwise the speedup
@@ -196,26 +193,21 @@ def _run_cpu_bound_series(quick: bool, workers: int) -> dict:
           f"{cores} usable core(s))")
 
     sequential, rows_seq = _time_cpu_bound(
-        bundle, data, regions, "thread", 1, cost, chunk_size
+        bundle, data, regions, 1, cost, chunk_size
     )
     print(f"  sequential       : {sequential['throughput_tps']:8.1f} tuples/s")
-    threaded, rows_thr = _time_cpu_bound(
-        bundle, data, regions, "thread", workers, cost, chunk_size
-    )
-    t_speedup = threaded["throughput_tps"] / sequential["throughput_tps"]
-    print(f"  thread (x{workers})      : {threaded['throughput_tps']:8.1f} "
-          f"tuples/s  ({t_speedup:.2f}x — GIL-bound)")
     process, rows_proc = _time_cpu_bound(
-        bundle, data, regions, "process", workers, cost, chunk_size
+        bundle, data, regions, workers, cost, chunk_size
     )
     p_speedup = process["throughput_tps"] / sequential["throughput_tps"]
     print(f"  process (x{workers})     : {process['throughput_tps']:8.1f} "
           f"tuples/s  ({p_speedup:.2f}x)")
 
-    identical = rows_seq == rows_thr == rows_proc
+    identical = rows_seq == rows_proc
     if not identical:
         raise AssertionError(
-            "executor outputs diverged on the CPU-bound oracle workload"
+            "process-pool outputs diverged from sequential on the "
+            "CPU-bound oracle workload"
         )
     return {
         "dataset": "hosp",
@@ -225,15 +217,13 @@ def _run_cpu_bound_series(quick: bool, workers: int) -> dict:
         "chunk_size": chunk_size,
         "usable_cores": cores,
         "sequential": sequential,
-        f"thread_x{workers}": threaded,
         f"process_x{workers}": process,
-        "speedup_thread": round(t_speedup, 2),
         "speedup_process": round(p_speedup, 2),
         "outputs_identical": identical,
     }
 
 
-def run(quick: bool, concurrency: int, output: Path) -> dict:
+def run(quick: bool, workers: int, output: Path) -> dict:
     scale = (
         {"master_size": 600, "input_size": 100}
         if quick
@@ -250,15 +240,10 @@ def run(quick: bool, concurrency: int, output: Path) -> dict:
         naive = _time_naive(bundle, data, regions)
         print(f"  naive fix_stream : {naive['throughput_tps']:8.1f} tuples/s")
 
-        batch = _time_batch(bundle, data, regions, concurrency=1)
+        batch = _time_batch(bundle, data, regions)
         speedup = batch["throughput_tps"] / naive["throughput_tps"]
         print(f"  batch (seq)      : {batch['throughput_tps']:8.1f} tuples/s"
               f"  ({speedup:.2f}x)")
-
-        threaded = _time_batch(bundle, data, regions, concurrency=concurrency)
-        t_speedup = threaded["throughput_tps"] / naive["throughput_tps"]
-        print(f"  batch (x{concurrency})       : "
-              f"{threaded['throughput_tps']:8.1f} tuples/s  ({t_speedup:.2f}x)")
 
         results[dataset] = {
             "master_size": len(bundle.master),
@@ -266,9 +251,7 @@ def run(quick: bool, concurrency: int, output: Path) -> dict:
             "region_precompute_s": round(region_time, 4),
             "naive_fix_stream": naive,
             "batch_sequential": batch,
-            f"batch_concurrency_{concurrency}": threaded,
             "speedup_sequential": round(speedup, 2),
-            f"speedup_concurrency_{concurrency}": round(t_speedup, 2),
         }
 
         if dataset == "hosp":
@@ -284,7 +267,7 @@ def run(quick: bool, concurrency: int, output: Path) -> dict:
         "python": platform.python_version(),
         "usable_cores": _usable_cores(),
         "results": results,
-        "cpu_bound_oracle": _run_cpu_bound_series(quick, concurrency),
+        "cpu_bound_oracle": _run_cpu_bound_series(quick, workers),
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {output}")
@@ -296,7 +279,8 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smoke scale (|Dm|~600, |D|=100)")
     parser.add_argument("--concurrency", type=int, default=4,
-                        help="fan-out width for the thread and process series")
+                        help="process-pool workers for the CPU-bound "
+                             "oracle series")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_batch.json")
     parser.add_argument("--min-speedup", type=float, default=2.0,
@@ -351,7 +335,7 @@ def main(argv=None) -> int:
               f"{workers} worker(s) — process-pool speedup "
               f"{cpu['speedup_process']:.2f}x recorded but the "
               f"{args.min_process_speedup:.2f}x floor is not enforced; "
-              f"outputs verified bit-identical across executors")
+              f"outputs verified bit-identical to sequential")
     return 0
 
 

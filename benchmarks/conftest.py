@@ -27,6 +27,32 @@ def emit(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
+class _CallOnce:
+    """Stand-in for pytest-benchmark's ``benchmark`` fixture: runs the
+    timed body once, untimed, so the shape asserts around it still run."""
+
+    def __call__(self, function, *args, **kwargs):
+        return function(*args, **kwargs)
+
+    def pedantic(self, target, args=(), kwargs=None, **_timing):
+        return target(*args, **(kwargs or {}))
+
+
+class _FallbackBenchmarkPlugin:
+    @pytest.fixture
+    def benchmark(self):
+        return _CallOnce()
+
+
+def pytest_configure(config):
+    # Registered only when pytest-benchmark is absent or disabled
+    # (-p no:benchmark): its own fixture wins whenever it is active.
+    if not config.pluginmanager.hasplugin("benchmark"):
+        config.pluginmanager.register(
+            _FallbackBenchmarkPlugin(), "benchmark-fallback"
+        )
+
+
 @pytest.fixture(scope="session")
 def bench_hosp():
     return BENCH_HOSP

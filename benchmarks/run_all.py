@@ -157,7 +157,7 @@ def write_experiments_md(sections, hosp, dblp, elapsed, quick):
         "",
         "```",
         "python benchmarks/run_all.py          # rewrites this file",
-        "pytest benchmarks/ --benchmark-only   # same harness + timing + shape asserts",
+        "make paper                            # same harness + shape asserts (pytest)",
         "```",
         "",
         "## Setup",
@@ -173,7 +173,7 @@ def write_experiments_md(sections, hosp, dblp, elapsed, quick):
         "- Absolute latencies are pure-Python; the paper used C++.  Only",
         "  *shapes* (who wins, what grows, where curves flatten) are claimed.",
         "",
-        "## Shape scorecard (asserted by `pytest benchmarks/`)",
+        "## Shape scorecard (asserted by `make paper`)",
         "",
         "| Claim (paper) | Reproduced? |",
         "|---|---|",

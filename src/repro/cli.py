@@ -300,7 +300,6 @@ def _cmd_batch_repair(args) -> int:
             use_bdd=not args.no_bdd,
             memoize=not args.no_memoize,
             chunk_size=args.chunk_size,
-            executor=args.executor,
             concurrency=args.workers,
             on_incomplete=args.on_incomplete,
             preflight=args.preflight,
@@ -546,15 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--chunk-size", type=int, default=256)
     batch.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="fan-out strategy: 'thread' shares one engine and its caches "
-             "(best for I/O-bound oracles), 'process' rehydrates an engine "
-             "per worker to sidestep the GIL (best for CPU-bound oracles; "
-             "with --master-backend sqlite requires --sqlite-path)",
-    )
-    batch.add_argument(
         "--workers", type=int, default=1,
-        help="workers for the chosen executor (default: 1)",
+        help="monitoring workers: 1 (default) repairs on this process's "
+             "one thread; N > 1 starts a pool of N worker processes, each "
+             "rehydrating its own engine and caches (with --master-backend "
+             "sqlite requires --sqlite-path)",
     )
     batch.add_argument("--max-rounds", type=int, default=12)
     batch.add_argument(

@@ -596,9 +596,9 @@ class RemoteStore(MasterStore):
     or length that disagrees with the request raises
     :class:`~repro.engine.store.StoreProtocolError` and caches nothing.
 
-    The single keep-alive connection is serialized behind a lock (the
-    batch engine's thread fan-out probes concurrently); workers of a
-    process pool each reattach their own connection from a
+    The single keep-alive connection is serialized behind a lock
+    (callers sharing one client may call it from several threads);
+    workers of a process pool each reattach their own connection from a
     :class:`RemoteStoreHandle`.
 
     Parameters

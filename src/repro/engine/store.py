@@ -747,8 +747,9 @@ class SqliteStore(MasterStore):
     sqlite index on first use and fronts it with a bounded LRU cache keyed
     on ``(attrs, key)``; every mutation bumps :attr:`version` and drops the
     probe / active-value caches, so a stale hit can never survive a master
-    update.  The connection is shared across threads behind a lock (the
-    batch engine's thread fan-out probes concurrently).
+    update.  The connection is shared across threads behind a lock
+    (``serve-master`` handler threads, and callers sharing one store,
+    reach it concurrently).
     """
 
     _ITER_BATCH = 1024

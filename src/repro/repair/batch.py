@@ -21,30 +21,26 @@ adds the throughput layer on top of :class:`repro.repair.certainfix.CertainFix`:
   lazily before the next monitored tuple — incremental master updates can
   no longer poison the shared caches;
 * **chunked execution** — the input stream is consumed in bounded chunks
-  (generators welcome: CSV ingestion never materializes the workload), with
-  an optional thread or process fan-out over the read-only master state.
-  One run loop serves every executor; the executor decides only how a
-  chunk is monitored (inline, split over a thread pool, or through an
-  ordered window of process tasks);
+  (generators welcome: CSV ingestion never materializes the workload).
+  One run loop serves both ways a chunk is monitored: inline on the
+  caller's thread (``concurrency=1``) or through an ordered window of
+  tasks on a process pool (``concurrency > 1``);
 * **structured reporting** — :class:`BatchReport` carries throughput,
   rounds per tuple and per-cache hit rates for the perf trajectory.  Every
-  chunk comes back with the :class:`EngineCounters` delta it caused and
-  its per-worker share, so thread and process runs report the same
-  per-worker rows and the same totals.
+  chunk comes back with the :class:`EngineCounters` delta it caused and,
+  from the process pool, the worker that monitored it, so the per-worker
+  rows add up to the run totals.
 
-Choosing an executor (``executor="thread"`` vs ``"process"``): monitoring is
-embarrassingly parallel per dirty tuple — master data and Σ are read-only
-while a tuple is fixed — but Python threads share one GIL.  The decision
-rule is about where a session spends its time: an **I/O-bound oracle**
-(live users, a feedback service over the network) releases the GIL while it
-waits, so threads scale and cost nothing to set up; a **CPU-bound oracle**
-(scoring models, simulated users over large masters — any workload where
-the chase/oracle arithmetic dominates) keeps the GIL busy, and
-only a process pool buys real cores.  The process pool ships a picklable
-:class:`EngineSpec` to each worker once (pool initializer), where it is
-rehydrated — certain regions, master indexes and the memo table are rebuilt
-per worker — so expect a per-worker warm-up cost that pays off on streams
-much longer than ``workers × chunk_size``.
+Why processes and not threads: monitoring is embarrassingly parallel per
+dirty tuple — master data and Σ are read-only while a tuple is fixed — but
+the chase, the oracle and Suggest⁺ are Python code that holds the GIL, and
+the remote client sends every request over one keep-alive connection, so
+threads overlap neither the compute nor the wire.  An engine therefore runs
+on one thread, and ``concurrency > 1`` buys real cores with a process pool.
+The pool ships a picklable :class:`EngineSpec` to each worker once (pool
+initializer), where it is rehydrated — certain regions, master indexes and
+the memo table are rebuilt per worker — so expect a per-worker warm-up cost
+that pays off on streams much longer than ``workers × chunk_size``.
 
 Every worker must monitor against exactly the parent's master, and a live
 worker catches up one way: each task carries the parent's version and its
@@ -54,15 +50,15 @@ When the journal cannot bridge the gap (window overflow, a bulk load, a
 remote full drop), the chunks in flight drain and the pool is respawned.
 
 Determinism: with ``concurrency=1`` the engine produces sessions identical
-to :meth:`CertainFix.fix_stream` on the same inputs.  With ``concurrency >
-1`` each tuple is still monitored independently; without the BDD cache the
-result is bit-identical to the sequential run (suggestions are pure
-functions of ``(t, Z')``) under both executors, while with the BDD cache
-the *suggestion order* may vary with thread interleaving or with how
-chunks land on workers, but every produced fix remains a certain fix and
-the fixed rows are identical (tests pin both properties).  Chunks are
-dispatched to the process pool with stable sequence numbers and merged in
-submission order, so results always come back in stream order.
+to :meth:`CertainFix.fix_stream` on the same inputs, with or without the
+BDD cache.  With ``concurrency > 1`` each tuple is still monitored
+independently; without the BDD cache the result is bit-identical to the
+sequential run (suggestions are pure functions of ``(t, Z')``), while with
+it each worker grows its own BDD, so the *suggestion order* may vary with
+how chunks land on workers, but every produced fix remains a certain fix
+and the fixed rows are identical (tests pin both properties).  Chunks are
+dispatched with stable sequence numbers and merged in submission order, so
+results always come back in stream order.
 """
 
 from __future__ import annotations
@@ -71,11 +67,10 @@ import itertools
 import multiprocessing
 import operator
 import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import obs
@@ -115,10 +110,9 @@ class EngineCounters:
     """One snapshot of the engine counters a batch run reports.
 
     Snapshots subtract into per-chunk deltas and add up into run totals,
-    with the same arithmetic for every executor.  The engine also keeps
-    its memo counters (the first four) in one record of this type per
-    thread, written only by that thread; :meth:`_MemoCertainFix.counters`
-    sums the records and adds the master-sync counters.
+    with the same arithmetic inline and in every process worker.
+    :meth:`_MemoCertainFix.counters` reads one off the engine's chase memo
+    stats, its BDD's hit/miss stats and its master-sync counters.
     """
 
     chase_hits: int = 0
@@ -160,16 +154,12 @@ class BatchReport:
     chunks: int = 0
     elapsed: float = 0.0
     chunk_size: int = 0
-    executor: str = "thread"
     workers: int = 1
-    #: Per-worker breakdown keyed by worker label — ``pid-<n>`` for the
-    #: process pool, ``thread-<n>`` for the thread fan-out.  Both executors
-    #: fill the same columns: ``chunks``, ``tuples``, ``chase_hits``,
-    #: ``chase_misses``, ``suggestion_hits`` and ``suggestion_misses``.
-    #: Threads share one set of caches, so their rows split the shared
-    #: counters by which thread performed each lookup, and a chunk counts
-    #: once for every thread that monitored part of it.  Empty only for
-    #: sequential thread runs (``concurrency=1``).
+    #: Per-worker breakdown of a process-pool run, keyed ``pid-<n>`` by
+    #: worker process: ``chunks``, ``tuples``, ``chase_hits``,
+    #: ``chase_misses``, ``suggestion_hits`` and ``suggestion_misses``,
+    #: each worker counting against its own caches.  Empty for inline
+    #: runs (``concurrency=1``).
     worker_stats: dict = field(default_factory=dict)
     regions_precomputed: int = 0
     chase_memo: MemoStats = field(default_factory=MemoStats)
@@ -225,7 +215,6 @@ class BatchReport:
             "mean_rounds": round(self.mean_rounds, 4),
             "chunks": self.chunks,
             "chunk_size": self.chunk_size,
-            "executor": self.executor,
             "workers": self.workers,
             "worker_stats": {
                 worker: dict(stats, chase_hit_rate=round(_rate(
@@ -263,7 +252,7 @@ class BatchReport:
         lines = [
             f"monitored {self.tuples} tuples in {self.elapsed:.3f}s "
             f"({self.throughput:.1f} tuples/s, {self.chunks} chunks, "
-            f"{self.executor} executor, {self.workers} worker(s))",
+            f"{self.workers} worker(s))",
             f"rounds/tuple: {self.mean_rounds:.2f}  "
             f"completed: {self.completed}  incomplete: {self.incomplete}",
             f"chase memo: {self.chase_memo.hit_rate:.0%} hit "
@@ -366,45 +355,22 @@ class _MemoCertainFix(CertainFix):
         # journal delta purges exactly the entries whose chase probed the
         # changed row (see repro.repair.invalidation).
         self._chase_footprints = FootprintIndex(self.store.schema)
-        # One EngineCounters record per thread ident; each thread bumps
-        # only its own, so memo lookups take no lock.
-        self._tallies: dict = {}
-        # The BDD is the only mutable structure shared *across* concurrent
-        # sessions mid-flight; its traversal/extension is serialized.
-        self._bdd_lock = threading.Lock()
-
-    # -- counters ---------------------------------------------------------------
-
-    def _tally(self) -> EngineCounters:
-        """The calling thread's memo counter record."""
-        ident = threading.get_ident()
-        tally = self._tallies.get(ident)
-        if tally is None:
-            tally = self._tallies.setdefault(ident, EngineCounters())
-        return tally
+        #: Chase memo hits and misses over the engine's lifetime.
+        self.chase_stats = MemoStats()
 
     def counters(self) -> EngineCounters:
         """Snapshot of every counter a :class:`BatchReport` carries."""
-        total = EngineCounters(
+        bdd = self.cache_stats
+        return EngineCounters(
+            chase_hits=self.chase_stats.hits,
+            chase_misses=self.chase_stats.misses,
+            suggestion_hits=bdd.hits if bdd is not None else 0,
+            suggestion_misses=bdd.misses if bdd is not None else 0,
             cache_invalidations=self.cache_invalidations,
             delta_purges=self.delta_purges,
             full_drops=self.full_drops,
             region_rebuilds=self.region_rebuilds,
         )
-        for tally in list(self._tallies.values()):
-            total += tally
-        return total
-
-    @property
-    def chase_stats(self) -> MemoStats:
-        """Chase memo hits/misses, summed over every thread."""
-        counters = self.counters()
-        return MemoStats(counters.chase_hits, counters.chase_misses)
-
-    # Both master-sync hooks run under the base engine's ``_memo_guard``
-    # hold, and the stamp-checked write in _validated_fix guarantees a
-    # worker that computed against the old version cannot re-poison the
-    # freshly reconciled table.
 
     def _drop_master_caches(self) -> None:
         super()._drop_master_caches()
@@ -439,44 +405,26 @@ class _MemoCertainFix(CertainFix):
         if not self._memoize:
             return super()._validated_fix(row, validated)
         key = self._memo_key(row, validated)
-        stamp = self._master_version
-        tally = self._tally()
         applied = self._chase_memo.get(key, _ABSENT)
         if applied is not _ABSENT:
-            tally.chase_hits += 1
+            self.chase_stats.hits += 1
             obs.inc("repro_chase_memo_total", result="hit")
             if applied is None:
                 return None
             return TransFixResult.from_chase(row, validated, applied)
-        tally.chase_misses += 1
+        self.chase_stats.misses += 1
         obs.inc("repro_chase_memo_total", result="miss")
         outcome = self._chase(row, validated)
         result = (
             TransFixResult.from_chase(row, validated, outcome.first_fired())
             if outcome.unique else None
         )
-        with self._memo_guard:
-            if self._master_version == stamp:
-                self._chase_memo[key] = (
-                    None if result is None else tuple(result.applied)
-                )
-                if self._delta_invalidation:
-                    self._chase_footprints.add(key, outcome.reads)
+        self._chase_memo[key] = (
+            None if result is None else tuple(result.applied)
+        )
+        if self._delta_invalidation:
+            self._chase_footprints.add(key, outcome.reads)
         return result
-
-    def _next_suggestion(self, cursor, row, validated):
-        if cursor is None:
-            return super()._next_suggestion(cursor, row, validated)
-        with self._bdd_lock:
-            # Under the lock the BDD's shared hit/miss counters move only
-            # for this call, so their delta is this thread's.
-            stats = self._cache.stats
-            hits, misses = stats.hits, stats.misses
-            suggestion = super()._next_suggestion(cursor, row, validated)
-            tally = self._tally()
-            tally.suggestion_hits += stats.hits - hits
-            tally.suggestion_misses += stats.misses - misses
-        return suggestion
 
 
 def _chunked(iterable: Iterable, size: int):
@@ -539,8 +487,9 @@ def _warm_chunk_probes(engine, pairs) -> float:
     Only called for stores with round-trip probe cost
     (``supports_batched_probes``): one ``probe_batch`` over every
     ``(rule, tuple)`` key fills the probe cache with exactly the keys the
-    chase is about to ask for — one round trip per chunk
-    on a remote master, one statement per block of keys on sqlite.  Returns the seconds spent warming (the chunk's share of
+    chase is about to ask for — one round trip per chunk on a remote
+    master, one statement per block of keys on sqlite.  Returns the
+    seconds spent warming (the chunk's share of
     ``BatchReport.timings["probe_warmup_s"]``).
     """
     started = time.perf_counter()
@@ -596,14 +545,15 @@ def _process_worker_chunk(task: tuple) -> tuple:
 
 
 class _Chunk(NamedTuple):
-    """One monitored chunk, as every executor hands it to the run loop."""
+    """One monitored chunk, as the inline loop or the pool hands it to
+    the run loop."""
 
     sessions: list
     #: What the chunk moved in the engine counters.
     counters: EngineCounters
-    #: ``{worker label: (tuples, counters)}`` for the workers that
-    #: monitored the chunk; empty when it ran inline.
-    workers: dict
+    #: Label of the process worker that monitored the chunk; ``None``
+    #: when it ran inline.
+    worker: str | None = None
     #: Seconds spent warming the chunk's probes (process workers only).
     warm_s: float = 0.0
 
@@ -642,22 +592,18 @@ class BatchRepairEngine:
         tuples with the same validated pattern (default on).
     chunk_size:
         How many stream elements to pull per execution chunk.
-    executor:
-        ``"thread"`` (default) fans chunks out to worker threads sharing
-        one engine and all caches; ``"process"`` fans chunks out to a pool
-        of worker processes, each rehydrating its own engine from a
-        picklable :class:`EngineSpec` (see the module docstring for the
-        decision rule: I/O-bound oracle → threads, CPU-bound → processes).
-        Process mode requires rows and oracles to be picklable, and a
-        sqlite master to be file-backed (``path=...``), since its handle
-        is re-opened per worker.
     concurrency:
-        Workers per chunk (1 = sequential for the thread executor).
-        Threads share the read-only master state and all caches; processes
-        each hold their own copy.  Either way the report splits its memo
-        counters per worker (``BatchReport.worker_stats``).
+        Monitoring workers.  1 (default) monitors every chunk inline on
+        the calling thread, against this engine's caches.  N > 1 fans
+        chunks out to a pool of N worker processes, each rehydrating its
+        own engine and caches from a picklable :class:`EngineSpec` (see
+        the module docstring for why processes, not threads); the report
+        splits its memo counters per worker
+        (``BatchReport.worker_stats``).  The pool requires rows and
+        oracles to be picklable, and a sqlite master to be file-backed
+        (``path=...``), since its handle is re-opened per worker.
     mp_start_method:
-        Process executor only: the :mod:`multiprocessing` start method
+        Process pool only: the :mod:`multiprocessing` start method
         (``"fork"``, ``"spawn"``, ``"forkserver"``; None = platform
         default).
     on_incomplete:
@@ -690,7 +636,6 @@ class BatchRepairEngine:
         use_bdd: bool = True,
         memoize: bool = True,
         chunk_size: int = 256,
-        executor: str = "thread",
         concurrency: int = 1,
         mp_start_method: str = None,
         on_incomplete: str = "keep",
@@ -701,10 +646,6 @@ class BatchRepairEngine:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if on_incomplete not in ("keep", "raise"):
             raise ValueError(
                 f"on_incomplete must be 'keep' or 'raise', "
@@ -722,7 +663,6 @@ class BatchRepairEngine:
             master=master,
         )
         self.chunk_size = chunk_size
-        self.executor = executor
         self.concurrency = concurrency
         self.mp_start_method = mp_start_method
         self.on_incomplete = on_incomplete
@@ -791,10 +731,10 @@ class BatchRepairEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut the process pool down (no-op for the thread executor).
+        """Shut the process pool down (no-op when none was started).
 
         Chunks still queued are cancelled.  The engine stays usable: the
-        next process run builds a fresh pool (workers re-warm from the
+        next pooled run builds a fresh pool (workers re-warm from the
         then-current master state).
         """
         if self._pool is not None:
@@ -849,12 +789,11 @@ class BatchRepairEngine:
         """Monitor a stream of ``(dirty_row, oracle)`` pairs.
 
         The stream is consumed lazily in chunks of ``chunk_size``; sessions
-        come back in stream order regardless of ``executor`` or
-        ``concurrency``.  One loop serves every executor: only how a
-        chunk is monitored differs (inline, split over worker threads, or
-        through the ordered window of process tasks), and each chunk comes
-        back with its sessions, the engine-counter delta it caused and its
-        per-worker share.
+        come back in stream order regardless of ``concurrency``.  One
+        loop serves both ways a chunk is monitored (inline, or through the
+        ordered window of process tasks): each chunk comes back with its
+        sessions, the engine-counter delta it caused and the worker that
+        monitored it.
 
         *progress* is an optional :class:`repro.obs.ProgressReporter`: it is
         started with the run's own timer, advanced once per completed chunk
@@ -889,11 +828,13 @@ class BatchRepairEngine:
                 chunks += 1
                 totals += chunk.counters
                 warm_s += chunk.warm_s
-                for label, (tuples, counters) in chunk.workers.items():
-                    row = workers.setdefault(label, [0, 0, EngineCounters()])
+                if chunk.worker is not None:
+                    row = workers.setdefault(
+                        chunk.worker, [0, 0, EngineCounters()]
+                    )
                     row[0] += 1
-                    row[1] += tuples
-                    row[2] += counters
+                    row[1] += len(chunk.sessions)
+                    row[2] += chunk.counters
                 if progress is not None:
                     progress.advance(
                         len(chunk.sessions),
@@ -919,7 +860,6 @@ class BatchRepairEngine:
             chunks=chunks,
             elapsed=elapsed,
             chunk_size=self.chunk_size,
-            executor=self.executor,
             workers=self.concurrency,
             worker_stats={
                 label: {"chunks": n, "tuples": tuples, **counters.memo_row()}
@@ -949,17 +889,15 @@ class BatchRepairEngine:
         return BatchResult(sessions=sessions, report=report)
 
     def _monitor(self, chunks):
-        """Monitor *chunks* on this run's executor; yields a
+        """Monitor *chunks* inline or on the process pool; yields a
         :class:`_Chunk` per chunk, in stream order.
 
         The process pool is built here, eagerly, so a run that starts it
         does not time the engine spec's store snapshot.
         """
-        if self.executor == "process":
+        if self.concurrency > 1:
             self._ensure_pool()
             return self._monitor_in_processes(chunks)
-        if self.concurrency > 1:
-            return self._monitor_in_threads(chunks)
         return self._monitor_inline(chunks)
 
     def _monitor_inline(self, chunks):
@@ -967,39 +905,7 @@ class BatchRepairEngine:
         for chunk in chunks:
             before = engine.counters()
             sessions = [engine.fix(row, oracle) for row, oracle in chunk]
-            yield _Chunk(sessions, engine.counters() - before, {})
-
-    def _monitor_in_threads(self, chunks):
-        """Split each chunk over the thread pool (chunks never warm)."""
-        engine = self._engine
-        labels: dict = {}  # thread ident -> "thread-<n>", first-seen order
-
-        def monitored(pair):
-            # Only this thread writes its record, so the delta is exactly
-            # what this session moved.
-            tally = engine._tally()
-            before = replace(tally)
-            session = engine.fix(*pair)
-            return threading.get_ident(), session, tally - before
-
-        with ThreadPoolExecutor(max_workers=self.concurrency) as pool:
-            for chunk in chunks:
-                before = engine.counters()
-                results = list(pool.map(monitored, chunk))
-                workers: dict = {}
-                for ident, _, delta in results:
-                    label = labels.setdefault(
-                        ident, f"thread-{len(labels) + 1}"
-                    )
-                    tuples, counters = workers.get(
-                        label, (0, EngineCounters())
-                    )
-                    workers[label] = (tuples + 1, counters + delta)
-                yield _Chunk(
-                    [session for _, session, _ in results],
-                    engine.counters() - before,
-                    workers,
-                )
+            yield _Chunk(sessions, engine.counters() - before)
 
     def _monitor_in_processes(self, chunks):
         """Fan chunks out to the worker processes; yield in stream order.
@@ -1015,10 +921,7 @@ class BatchRepairEngine:
             self._worker_versions[label] = max(
                 version, self._worker_versions.get(label, 0)
             )
-            return _Chunk(
-                sessions, counters + respawn,
-                {label: (len(sessions), counters)}, warm_s,
-            )
+            return _Chunk(sessions, counters + respawn, label, warm_s)
 
         # Keep a bounded window of chunks in flight: enough to feed every
         # worker with one chunk of lookahead, without materializing an
@@ -1074,7 +977,7 @@ class BatchRepairEngine:
         Exactly one feedback source must be provided: *clean_path*, a CSV
         aligned row-for-row with the dirty file whose values play the
         truthful simulated user, or *oracle_factory*, a callable mapping a
-        dirty :class:`Row` to an oracle (with ``executor="process"`` the
+        dirty :class:`Row` to an oracle (with ``concurrency > 1`` the
         produced oracles must be picklable).  Misaligned dirty/clean files
         raise ``ValueError`` naming both paths and row counts rather than
         silently truncating to the shorter stream.

@@ -23,7 +23,6 @@ rebuilt lazily when the master mutates.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -174,6 +173,15 @@ class CertainFix:
         they are rebuilt (counted in ``region_rebuilds``).  Off means every
         version move performs the historical full teardown — the
         reference behaviour the equivalence fuzz compares against.
+
+    An engine runs on one thread: its caches (regions, the BDD, pattern
+    probes, the version stamp) take no locks.  The version stamp moves
+    only in :meth:`_sync_master_version`, at the start of :meth:`fix`,
+    never during a round; a store mutated from elsewhere mid-round moves
+    ``store.version`` instead, which the next :meth:`fix` reconciles.
+    Parallel monitoring runs one engine per worker process
+    (:class:`~repro.repair.batch.BatchRepairEngine` with
+    ``concurrency > 1``).
     """
 
     def __init__(
@@ -206,13 +214,6 @@ class CertainFix:
         self._pattern_cache: dict = (
             self._cache.pattern_cache if self._cache is not None else {}
         )
-        # Guards every version-stamped structure (the version stamp itself
-        # and the subclass memo table) against the thread fan-out: teardown
-        # happens under the guard, and memo writes are stamp-checked under
-        # it so an outcome computed against an old master version can never
-        # re-poison a freshly cleared cache.
-        # Re-entrant: subclasses extend the teardown within the same hold.
-        self._memo_guard = threading.RLock()
         self.cache_invalidations = 0
         self._delta_invalidation = delta_invalidation
         self._region_guard = None
@@ -290,31 +291,27 @@ class CertainFix:
         version = self.store.version
         if version == self._master_version:
             return False
-        with self._memo_guard:
-            if version == self._master_version:
-                return False  # another worker already performed the teardown
-            deltas = (
-                self.store.deltas_since(self._master_version)
-                if self._delta_invalidation
-                else None
-            )
-            if deltas and self._apply_master_deltas(deltas):
-                self.delta_purges += 1
-                counter = "repro_store_delta_purge_total"
-            else:
-                self._drop_master_caches()
-                self.full_drops += 1
-                counter = "repro_store_full_drop_total"
-            self._master_version = version
-            self.cache_invalidations += 1
+        deltas = (
+            self.store.deltas_since(self._master_version)
+            if self._delta_invalidation
+            else None
+        )
+        if deltas and self._apply_master_deltas(deltas):
+            self.delta_purges += 1
+            counter = "repro_store_delta_purge_total"
+        else:
+            self._drop_master_caches()
+            self.full_drops += 1
+            counter = "repro_store_full_drop_total"
+        self._master_version = version
+        self.cache_invalidations += 1
         obs.inc(counter)
         obs.inc("repro_cache_invalidations_total")
         return True
 
     def _drop_master_caches(self) -> None:
         """The historical full teardown: every derived cache rebuilds
-        lazily.  Subclasses extend this to cover their own caches.
-        Runs under ``_memo_guard``."""
+        lazily.  Subclasses extend this to cover their own caches."""
         self._regions = None
         self._region_guard = None
         self._pattern_cache.clear()
@@ -328,9 +325,9 @@ class CertainFix:
         would reproduce them; the per-rule pattern cache is patched row by
         row; BDD nodes are retained because ``_valid_for`` revalidates
         every cached suggestion against the live master.
-        Subclasses extend this with footprint-indexed memo purges.
-        Runs under ``_memo_guard``; a False return means the caller must
-        fall back to :meth:`_drop_master_caches`.
+        Subclasses extend this with footprint-indexed memo purges.  A
+        False return means the caller must fall back to
+        :meth:`_drop_master_caches`.
         """
         rows = [Row(self.store.schema, delta.values) for delta in deltas]
         if self._regions is not None:

@@ -47,9 +47,9 @@ class CpuBoundOracle:
 
     Models production feedback sources that *compute* their answers —
     entity-resolution models, scoring services colocated with the repair
-    engine — rather than blocking on I/O.  This is the workload class where
-    a thread fan-out stays GIL-flat and only a process pool scales; the
-    batch throughput benchmark uses it to pin that decision rule.
+    engine — rather than blocking on I/O.  The burn holds the GIL, so
+    only a process pool scales it; the batch throughput benchmark uses it
+    to gate the pool's speedup over inline monitoring.
 
     The burn is a fixed-length sha256 chain (``cost`` iterations), so the
     cost is deterministic, portable, and uncompressible by the optimizer.

@@ -2,7 +2,6 @@
 
 import io
 import re
-import sys
 
 import pytest
 
@@ -172,74 +171,6 @@ def test_memo_hit_rebuilds_the_result_its_miss_stored(hosp, hosp_dirty):
         assert hit == miss
         unique += miss is not None
     assert unique > 0
-
-
-# -- concurrency --------------------------------------------------------------
-
-
-def test_concurrent_batch_deterministic_without_bdd(hosp, hosp_dirty):
-    sequential = CertainFix(hosp.rules, hosp.master, hosp.schema,
-                            use_bdd=False)
-    stream_sessions = sequential.fix_stream(_pairs(hosp_dirty))
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              use_bdd=False, concurrency=4, chunk_size=5)
-    result = batch.run(_pairs(hosp_dirty))
-    _assert_sessions_identical(result.sessions, stream_sessions)
-
-
-def test_concurrent_batch_with_bdd_produces_certain_fixes(hosp, hosp_dirty):
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              use_bdd=True, concurrency=4, chunk_size=8)
-    result = batch.run_dirty(hosp_dirty)
-    assert result.report.completed == len(hosp_dirty)
-    for session, dt in zip(result.sessions, hosp_dirty):
-        assert session.final == dt.clean
-
-
-def test_per_thread_counters_lose_no_update_under_switching(hosp, hosp_dirty):
-    # Memo counters are bumped without a lock, one record per thread.
-    # With eight threads on a tiny switch interval, the run must still
-    # count exactly the memo lookups the sequential run counts, and the
-    # per-worker rows must add up to the totals.
-    def run(concurrency):
-        batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                                  use_bdd=False, concurrency=concurrency,
-                                  chunk_size=3)
-        return batch.run_dirty(hosp_dirty).report
-
-    sequential = run(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run(8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.chase_memo.lookups == sequential.chase_memo.lookups
-    rows = threaded.worker_stats.values()
-    assert sum(r["chase_hits"] for r in rows) == threaded.chase_memo.hits
-    assert sum(r["chase_misses"] for r in rows) == threaded.chase_memo.misses
-    assert sum(r["tuples"] for r in rows) == len(hosp_dirty)
-
-
-@pytest.mark.parametrize("options", [
-    {"memoize": False},
-])
-def test_thread_fan_out_without_memo_lookups(hosp, hosp_dirty, options):
-    # With neither a memo lookup nor a BDD suggestion, no thread touches
-    # its counter record during the fix; the per-worker rows must still
-    # be there and add up to the stream.
-    def run(concurrency):
-        batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                                  use_bdd=False, concurrency=concurrency,
-                                  chunk_size=5, **options)
-        return batch.run_dirty(hosp_dirty)
-
-    sequential = run(1)
-    threaded = run(2)
-    _assert_sessions_identical(threaded.sessions, sequential.sessions)
-    rows = threaded.report.worker_stats
-    assert rows and all(label.startswith("thread-") for label in rows)
-    assert sum(r["tuples"] for r in rows.values()) == len(hosp_dirty)
 
 
 # -- chunked / streaming execution -------------------------------------------
@@ -426,43 +357,10 @@ def test_result_to_relation(hosp, hosp_dirty):
 # -- telemetry: worker stats, timings, provenance (PR 7) -----------------------
 
 
-def test_thread_worker_stats_populated_at_concurrency_4(hosp, hosp_dirty):
-    # Regression: the thread executor used to report empty worker_stats
-    # while the process executor reported per-worker rows.
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              concurrency=4, chunk_size=5)
-    report = batch.run_dirty(hosp_dirty).report
-    assert report.executor == "thread"
-    assert report.worker_stats
-    assert all(name.startswith("thread-") for name in report.worker_stats)
-    assert 1 <= len(report.worker_stats) <= 4
-    assert sum(s["tuples"] for s in report.worker_stats.values()) \
-        == len(hosp_dirty)
-    # Every chunk had at least one participating thread; threads sharing a
-    # chunk each count it once.
-    assert sum(s["chunks"] for s in report.worker_stats.values()) \
-        >= report.chunks
-    payload = report.to_dict()
-    for stats in payload["worker_stats"].values():
-        assert 0.0 <= stats["chase_hit_rate"] <= 1.0
-        assert "_chunk" not in stats  # internal epoch marker never leaks
-
-
 def test_sequential_run_reports_no_worker_stats(hosp, hosp_dirty):
     report = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema) \
         .run_dirty(hosp_dirty).report
     assert report.worker_stats == {}
-
-
-def test_thread_heartbeats_carry_per_worker_counts(hosp, hosp_dirty):
-    sink = io.StringIO()
-    progress = ProgressReporter(label="batch", interval=0, stream=sink)
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              concurrency=2, chunk_size=5)
-    batch.run_dirty(hosp_dirty, progress=progress)
-    heartbeats = sink.getvalue().splitlines()
-    assert len(heartbeats) == -(-len(hosp_dirty) // 5) + 1  # + finish
-    assert all("thread-" in line for line in heartbeats)
 
 
 def test_first_heartbeat_rate_counts_the_first_chunk(hosp, hosp_dirty):

@@ -1,12 +1,13 @@
 """Process-pool batch repair: bit-identical output, start methods, resync.
 
-These tests exercise the ``executor="process"`` fan-out end to end:
+These tests exercise the process pool (``concurrency > 1``) end to end:
 workers rehydrate the engine from a pickled :class:`EngineSpec`, chunks
 are merged in submission order, and master mutations reach live workers
 one way — the parent's journal deltas, replayed through ``adopt_deltas``
 — or, when the journal cannot bridge the gap, through a respawned pool.
 """
 
+import io
 import multiprocessing
 
 import pytest
@@ -18,6 +19,7 @@ from repro.engine.store import (
     StoreError,
 )
 from repro.engine.tuples import Row
+from repro.obs import ProgressReporter
 from repro.repair.batch import BatchRepairEngine, EngineSpec
 from repro.repair.certainfix import CertainFix
 from repro.repair.oracle import CpuBoundOracle, SimulatedUser
@@ -55,40 +57,56 @@ def test_process_matches_sequential_hosp(hosp, hosp_dirty):
                             use_bdd=False)
     ref = sequential.fix_stream(_pairs(hosp_dirty))
     with BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         result = batch.run(_pairs(hosp_dirty))
     _assert_sessions_identical(result.sessions, ref)
     report = result.report
-    assert report.executor == "process"
     assert report.workers == 2
     assert report.tuples == len(hosp_dirty)
+    # concurrency=2 alone selects the pool: every row is a worker process.
+    assert report.worker_stats
+    assert all(label.startswith("pid-") for label in report.worker_stats)
     assert sum(s["tuples"] for s in report.worker_stats.values()) \
         == len(hosp_dirty)
     payload = report.to_dict()
-    assert payload["executor"] == "process"
     for stats in payload["worker_stats"].values():
         assert 0.0 <= stats["chase_hit_rate"] <= 1.0
 
 
-def test_thread_and_process_reports_have_one_shape(hosp, hosp_dirty):
+def test_inline_and_process_reports_have_one_shape(hosp, hosp_dirty):
     reports = {}
-    for executor in ("thread", "process"):
+    for workers in (1, 2):
         with BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                               executor=executor, concurrency=2,
-                               chunk_size=5) as batch:
-            reports[executor] = batch.run_dirty(hosp_dirty).report.to_dict()
-    thread, process = reports["thread"], reports["process"]
-    assert set(thread) == set(process)
-    row_keys = {
-        executor: {key for row in payload["worker_stats"].values()
-                   for key in row}
-        for executor, payload in reports.items()
-    }
-    assert row_keys["thread"] and row_keys["thread"] == row_keys["process"]
-    for payload in (thread, process):
-        assert sum(row["tuples"] for row in payload["worker_stats"].values()) \
-            == len(hosp_dirty)
+                               concurrency=workers, chunk_size=5) as batch:
+            reports[workers] = batch.run_dirty(hosp_dirty).report.to_dict()
+    inline, process = reports[1], reports[2]
+    assert set(inline) == set(process)
+    assert inline["worker_stats"] == {}
+    rows = process["worker_stats"].values()
+    assert rows and all(
+        set(row) == {"chunks", "tuples", "chase_hits", "chase_misses",
+                     "suggestion_hits", "suggestion_misses",
+                     "chase_hit_rate"}
+        for row in rows
+    )
+    assert sum(row["tuples"] for row in rows) == len(hosp_dirty)
+    # Per-worker memo counters add up to the run totals.
+    assert sum(row["chase_hits"] for row in rows) \
+        == process["chase_memo"]["hits"]
+    assert sum(row["suggestion_misses"] for row in rows) \
+        == process["suggestion_cache"]["misses"]
+
+
+def test_process_heartbeats_carry_per_worker_counts(hosp, hosp_dirty):
+    sink = io.StringIO()
+    progress = ProgressReporter(label="batch", interval=0, stream=sink)
+    with BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
+                           concurrency=2, chunk_size=5) as batch:
+        batch.run_dirty(hosp_dirty, progress=progress)
+    heartbeats = sink.getvalue().splitlines()
+    assert len(heartbeats) == -(-len(hosp_dirty) // 5) + 1  # + finish
+    assert all("pid-" in line for line in heartbeats)
 
 
 def test_process_matches_sequential_running_example(example):
@@ -108,7 +126,7 @@ def test_process_matches_sequential_running_example(example):
         (dirty, SimulatedUser(clean)) for dirty, clean in workload
     )
     with BatchRepairEngine(example.rules, example.master, example.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=1) as batch:
         result = batch.run(
             (dirty, SimulatedUser(clean)) for dirty, clean in workload
@@ -122,7 +140,7 @@ def test_process_with_bdd_fixes_to_ground_truth(hosp, hosp_dirty):
     """Per-worker BDD caches may reorder suggestions, but every fix is
     still the certain fix: final rows equal the ground truth."""
     with BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                           use_bdd=True, executor="process",
+                           use_bdd=True,
                            concurrency=2, chunk_size=8) as batch:
         result = batch.run_dirty(hosp_dirty)
     assert result.report.completed == len(hosp_dirty)
@@ -144,7 +162,7 @@ def test_start_methods(example, method):
         [(dirty, SimulatedUser(clean)) for _ in range(4)]
     )
     with BatchRepairEngine(example.rules, example.master, example.schema,
-                           use_bdd=False, executor="process", concurrency=2,
+                           use_bdd=False, concurrency=2,
                            chunk_size=2, mp_start_method=method) as batch:
         result = batch.run([(dirty, SimulatedUser(clean)) for _ in range(4)])
     _assert_sessions_identical(result.sessions, ref)
@@ -164,7 +182,7 @@ def test_memory_master_update_reaches_live_workers(hosp, hosp_dirty):
     data = list(hosp_dirty)
     master = Relation(hosp.schema, hosp.master.iter_rows())  # private copy
     with BatchRepairEngine(hosp.rules, master, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         first = batch.run(_pairs(data))
         assert first.report.cache_invalidations == 0
@@ -190,7 +208,7 @@ def test_sqlite_master_update_reaches_live_workers(tmp_path, hosp,
     store = SqliteStore.from_relation(hosp.master,
                                       path=tmp_path / "master.db")
     with BatchRepairEngine(hosp.rules, store, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         batch.run(_pairs(data))
         victim = next(iter(store))
@@ -212,7 +230,7 @@ def test_tasks_carry_no_deltas_once_every_worker_acked(hosp, hosp_dirty):
     data = list(hosp_dirty)
     master = Relation(hosp.schema, hosp.master.iter_rows())
     with BatchRepairEngine(hosp.rules, master, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=3) as batch:
         batch.run(_pairs(data))
         assert batch._task_for(0, [])[3] == ()
@@ -252,7 +270,7 @@ def test_window_overflow_respawns_the_pool(hosp, hosp_dirty):
     master = Relation(hosp.schema, hosp.master.iter_rows())
     rng = random.Random(11)
     with BatchRepairEngine(hosp.rules, master, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         batch.run(_pairs(data))
         stamp = batch.store.version
@@ -277,7 +295,7 @@ def test_sqlite_fresh_reload_respawns_the_pool(tmp_path, hosp, hosp_dirty):
         hosp.entity_factory(rng) for _ in range(3)
     ]
     with BatchRepairEngine(hosp.rules, store, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         batch.run(_pairs(data))
         stamp = store.version
@@ -303,7 +321,7 @@ def test_failed_worker_replay_fails_the_run_and_the_pool(hosp, hosp_dirty,
     master = Relation(hosp.schema, hosp.master.iter_rows())
     ghost = hosp.entity_factory(random.Random(13))
     with BatchRepairEngine(hosp.rules, master, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=5) as batch:
         batch.run(_pairs(data))
         batch.store.insert(ghost)
@@ -338,7 +356,7 @@ def test_back_to_back_inserts_never_full_drop_workers(hosp):
     pooled = Relation(hosp.schema, hosp.master.iter_rows())
     serial = Relation(hosp.schema, hosp.master.iter_rows())
     with BatchRepairEngine(hosp.rules, pooled, hosp.schema,
-                           use_bdd=False, executor="process",
+                           use_bdd=False,
                            concurrency=2, chunk_size=4) as batch, \
             BatchRepairEngine(hosp.rules, serial, hosp.schema,
                               use_bdd=False) as reference:
@@ -373,24 +391,18 @@ def test_engine_spec_roundtrip(hosp):
 def test_memory_sqlite_store_refuses_process_executor(hosp, hosp_dirty):
     store = SqliteStore.from_relation(hosp.master)  # private :memory: db
     batch = BatchRepairEngine(hosp.rules, store, hosp.schema,
-                              use_bdd=False, executor="process",
+                              use_bdd=False,
                               concurrency=2)
     with pytest.raises(ValueError, match="cannot cross a fork/spawn"):
         batch.run_dirty(hosp_dirty)
     store.close()
 
 
-def test_invalid_executor_rejected(hosp):
-    with pytest.raises(ValueError, match="executor"):
-        BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                          executor="greenlet")
-
-
 def test_close_is_idempotent_and_pool_rebuilds(example):
     clean = _example_clean(example)
     dirty = clean.with_values({"city": "???"})
     batch = BatchRepairEngine(example.rules, example.master, example.schema,
-                              use_bdd=False, executor="process",
+                              use_bdd=False,
                               concurrency=2, chunk_size=1)
     first = batch.run([(dirty, SimulatedUser(clean))])
     batch.close()

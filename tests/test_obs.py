@@ -252,13 +252,13 @@ def test_progress_heartbeats_throttled_and_final():
     reporter.advance(30, rates={"chase": 0.9})
     clock.now += 0.1
     reporter.finish(rates={"chase": 0.92},
-                    workers={"thread-1": 30, "thread-2": 20})
+                    workers={"pid-101": 30, "pid-102": 20})
     lines = sink.getvalue().splitlines()
     assert len(lines) == 3  # two heartbeats + final; one advance throttled
     assert lines[0].startswith("[batch-repair] 10/100 tuples")
     assert "ETA" in lines[1] and "chase 90%" in lines[1]
     assert "done in" in lines[2]
-    assert "thread-1" in lines[2] and "tuples/s" in lines[2]
+    assert "pid-101" in lines[2] and "tuples/s" in lines[2]
 
 
 def test_progress_unknown_total_streams_counts():

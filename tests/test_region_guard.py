@@ -119,7 +119,9 @@ def test_guard_keeps_regions_identical_to_fresh_build_across_mutations():
     assert rebuilt["delete"] and rebuilt["update"], rebuilt
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="inline"), pytest.param(2, id="process"),
+])
 @pytest.mark.parametrize(
     "position, column, rebuilds",
     [
@@ -128,7 +130,7 @@ def test_guard_keeps_regions_identical_to_fresh_build_across_mutations():
     ],
 )
 def test_region_rebuilds_reach_the_report_and_metrics(
-    executor, position, column, rebuilds
+    workers, position, column, rebuilds
 ):
     bundle = make_hosp(num_hospitals=30, num_measures=10, seed=7)
     store = InMemoryStore(Relation(bundle.schema, bundle.master.iter_rows()))
@@ -137,8 +139,7 @@ def test_region_rebuilds_reach_the_report_and_metrics(
     registry = obs.enable()
     try:
         with BatchRepairEngine(
-            bundle.rules, store, bundle.schema, executor=executor,
-            concurrency=1,
+            bundle.rules, store, bundle.schema, concurrency=workers,
         ) as engine:
             engine.run_dirty(data)
             store.update(row, row.with_values({column: f"{row[column]} rev"}))
@@ -148,7 +149,7 @@ def test_region_rebuilds_reach_the_report_and_metrics(
     assert (report.delta_purges, report.region_rebuilds) == (1, rebuilds)
     assert report.to_dict()["region_rebuilds"] == rebuilds
     assert f"{rebuilds} region rebuild(s)" in report.describe()
-    if executor == "thread":  # process workers record in their own registry
+    if workers == 1:  # process workers record in their own registry
         snap = registry.snapshot()
         for result, count in (("kept", 1 - rebuilds), ("rebuilt", rebuilds)):
             assert snap.counter_value(

@@ -365,13 +365,13 @@ def _fresh_master_row(bundle):
     return donor.with_values({first: "ZZ-REMOTE-FRESH"})
 
 
-@pytest.mark.parametrize("executor,workers", [("thread", 1), ("thread", 2),
-                                              ("process", 2)])
-def test_remote_batch_identical_to_memory(hosp, hosp_dirty, executor,
-                                          workers):
-    """serve-master in a thread; batch-repair against it (thread and
-    2-worker process executors) must be bit-identical to the memory
-    backend — including after a mid-batch remote mutation."""
+@pytest.mark.parametrize("workers", [
+    pytest.param(1, id="inline-1"), pytest.param(2, id="process-2"),
+])
+def test_remote_batch_identical_to_memory(hosp, hosp_dirty, workers):
+    """serve-master in a thread; batch-repair against it (inline and on a
+    2-worker process pool) must be bit-identical to the memory backend —
+    including after a mid-batch remote mutation."""
     data = list(hosp_dirty)
     half = len(data) // 2
     fresh = _fresh_master_row(hosp)
@@ -388,7 +388,7 @@ def test_remote_batch_identical_to_memory(hosp, hosp_dirty, executor,
         remote = RemoteStore(server.url)
         engine = BatchRepairEngine(
             hosp.rules, remote, hosp.schema, use_bdd=False,
-            executor=executor, concurrency=workers, chunk_size=4,
+            concurrency=workers, chunk_size=4,
         )
         with engine:
             first = engine.run(_pairs(data[:half]))
@@ -479,8 +479,8 @@ def test_remote_cli_argument_validation(tmp_path, capsys):
 
 
 def test_remote_store_is_thread_safe_under_concurrent_probes(served, rows):
-    """The batch engine's thread fan-out probes one client concurrently;
-    the shared connection must serialize without corruption."""
+    """Callers sharing one client may probe it from several threads; the
+    shared connection must serialize without corruption."""
     _, _, client = served
     errors = []
 

@@ -447,34 +447,7 @@ def test_fuzz_backends_stay_identical_under_random_mutations():
     assert list(memory) == list(sqlite)
 
 
-# -- memo stamp checks and suggestion invalidation ----------------------------
-
-
-def test_stale_memo_write_rejected_after_concurrent_teardown(monkeypatch):
-    """The thread-fan-out race: a worker computes a round's validated fix
-    against version N; the master mutates and another worker performs the
-    version teardown before the first worker's memo write lands.  The
-    stamp check must drop the stale write instead of re-poisoning the
-    cleared memo."""
-    schema, rules, rows = _tiny_bundle()
-    store = InMemoryStore(Relation(schema, rows))
-    batch = BatchRepairEngine(rules, store, schema, use_bdd=False)
-    engine = batch.engine
-
-    original = CertainFix._chase
-
-    def mutate_mid_compute(self, row, validated):
-        result = original(self, row, validated)
-        store.insert(Row(schema, ("k9", "v9")))
-        self._sync_master_version()  # the "other worker's" teardown
-        return result
-
-    monkeypatch.setattr(CertainFix, "_chase", mutate_mid_compute)
-    row = Row(schema, ("k1", "v1"))
-    validated = frozenset({"key", "val"})
-    assert engine._validated_fix(row, validated) is not None
-    assert engine._memo_key(row, validated) not in engine._chase_memo
-    assert len(engine._chase_footprints) == 0
+# -- suggestion invalidation -------------------------------------------------
 
 
 def test_suggest_memo_invalidated_by_master_mutation():
