@@ -80,12 +80,16 @@ conformance:
 # and the chase decides conflicts on each read's distinct master values:
 # the chase-vs-TransFix differential test, the value-level fan-out
 # properties (many rows per key, master guards, list vs tuple stores) and
-# the chase's cross-checks against exhaustive order exploration.  A subset
-# of `test`, named so a divergence is attributable on its own line (CI step).
+# the chase's cross-checks against exhaustive order exploration.  The
+# Suggest+ reuse check tests rules lazily inside its closure: its
+# differential test holds it to the eager applicable-rules check on a
+# mutating master.  A subset of `test`, named so a divergence is
+# attributable on its own line (CI step).
 differential:
 	$(PYTHON) -m pytest tests/test_chase_transfix_differential.py \
 		tests/test_chase_fanout.py tests/test_chase_explorer.py \
-		tests/test_property_based.py -q
+		tests/test_property_based.py \
+		tests/test_bdd_reuse_differential.py -q
 
 # Every master-delta consumer against a fresh rebuild: the region guard
 # (kept regions equal a fresh CompCRegion), the shared FootprintIndex

@@ -12,11 +12,21 @@ scores with (Sect. 6).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 
-def attribute_closure(attrs: Iterable, rules: Iterable) -> frozenset:
-    """Attributes validatable from *attrs* by chaining rules (value-free)."""
+def attribute_closure(attrs: Iterable, rules: Iterable,
+                      applies: Callable = None) -> frozenset:
+    """Attributes validatable from *attrs* by chaining rules (value-free).
+
+    *applies*, if given, is a per-rule test evaluated at the moment a rule
+    could fire — its premise already in the closure, its target not yet —
+    and a rule it rejects is dropped for good.  The result is the closure
+    under the rules that pass, but a rule whose premise is never reached,
+    or whose target another rule adds first, is never tested: the Suggest⁺
+    reuse check (:meth:`repro.repair.bdd.SuggestionCache._valid_for`)
+    passes its master-probing applicability test here.
+    """
     closure = set(attrs)
     pending = list(rules)
     changed = True
@@ -27,8 +37,9 @@ def attribute_closure(attrs: Iterable, rules: Iterable) -> frozenset:
             if rule.rhs in closure:
                 continue
             if rule.premise_attrs <= closure:
-                closure.add(rule.rhs)
-                changed = True
+                if applies is None or applies(rule):
+                    closure.add(rule.rhs)
+                    changed = True
             else:
                 remaining.append(rule)
         pending = remaining

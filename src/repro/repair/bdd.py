@@ -24,7 +24,7 @@ from repro.analysis.closure import attribute_closure
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
-from repro.repair.suggest import Suggestion, applicable_rules, suggest
+from repro.repair.suggest import Suggestion, rule_survives, suggest
 
 #: Longest false-chain walked before a miss computes a fresh suggestion.
 MAX_CHAIN = 16
@@ -61,14 +61,17 @@ class SuggestionCache:
     this automatically from their version-sync hook).
 
     ``pattern_cache`` holds the per-rule pattern-probe verdicts
-    (``{rule: holds}``) every fresh suggestion and validity check reads;
-    an owning engine patches it per master delta.
+    (``{rule: holds}``) of rules with no validated key attribute: a fresh
+    suggestion reads it for every such rule, a validity check only for the
+    rules its lazy closure tests (see :meth:`_valid_for`).  An owning
+    engine patches it per master delta.
     """
 
     def __init__(self, rules: Sequence, master, schema: RelationSchema):
         self.rules = list(rules)
         self.master = as_master_store(master)
         self.schema = schema
+        self._attributes = frozenset(schema.attributes)
         self.stats = CacheStats()
         self._root: _Node = None
         self.pattern_cache: dict = {}
@@ -96,21 +99,31 @@ class SuggestionCache:
     # -- validity check ------------------------------------------------------
 
     def _valid_for(self, suggestion: Suggestion, row: Row, z: frozenset) -> bool:
-        """Cheap reuse test: the cached S must be disjoint from Z and, with
-        the currently applicable rules, close over all of R."""
+        """Cheap reuse test: is the cached S still a suggestion for t[Z]?
+
+        S must be non-empty, disjoint from Z, and the closure of ``Z ∪ S``
+        under the applicable rules ``Σt[Z]`` must cover R.  The closure is
+        built lazily: a rule's conditions (b)+(c), master probe included,
+        are tested by :func:`~repro.repair.suggest.rule_survives` only once
+        its premise is in the closure and its target is not, so a rule the
+        closure never reaches costs no probe.  Rules are not refined here:
+        refinement leaves every premise unchanged, so the verdict equals
+        the closure over all of ``Σt[Z]``.  That closure covering R also
+        implies every attribute no applicable rule can fix lies in S.
+        """
         self.stats.checks += 1
         s = set(suggestion.attrs)
         if not s or s & z:
             return False
-        applicable = applicable_rules(
-            self.rules, self.master, row, z, self.pattern_cache
+        master, pattern_cache = self.master, self.pattern_cache
+        closure = attribute_closure(
+            z | s,
+            self.rules,
+            applies=lambda rule: rule_survives(
+                rule, master, row, z, pattern_cache
+            ),
         )
-        fixable = {rule.rhs for rule in applicable}
-        uncoverable = set(self.schema.attributes) - z - fixable
-        if not uncoverable <= s:
-            return False
-        closure = attribute_closure(z | s, applicable)
-        return closure >= set(self.schema.attributes)
+        return closure >= self._attributes
 
     def _compute(self, row: Row, z: frozenset) -> Suggestion:
         return suggest(

@@ -323,8 +323,9 @@ class CertainFix:
 
         Regions survive iff the :class:`RegionGuard` proves a rebuild
         would reproduce them; the per-rule pattern cache is patched row by
-        row; BDD nodes are retained because ``_valid_for`` revalidates
-        every cached suggestion against the live master.
+        row; BDD nodes are retained because ``_valid_for`` tests every
+        rule it lets fire in a cached suggestion's closure against the
+        live master (a rule it never tests cannot make S valid).
         Subclasses extend this with footprint-indexed memo purges.  A
         False return means the caller must fall back to
         :meth:`_drop_master_caches`.

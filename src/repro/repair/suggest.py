@@ -13,6 +13,12 @@ paper's practical route:
    greedily by attribute-closure gain until the closure reaches ``R``;
 3. search for a master-backed witness pattern over ``Z ∪ S`` (the expensive
    certain-region computation that Suggest⁺'s BDD cache later avoids).
+
+The refinement ``φ⁺`` serves only this fresh Suggest and its witness
+search: it adds the validated key to a rule's pattern, which leaves the
+premise ``X ∪ Xp`` unchanged, so the closure steps above and Suggest⁺'s
+reuse check reach the same verdict without it.  That check tests
+conditions (b)–(c) per rule with :func:`rule_survives` inside its closure.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ class Suggestion:
     attrs: tuple
     certain: bool
     witness: PatternTuple = None
-    applicable_rule_count: int = 0
     source: str = "structural"
 
     def __bool__(self) -> bool:
@@ -66,6 +71,61 @@ def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
     return False
 
 
+def rule_survives(
+    rule,
+    master: MasterStore,
+    row: Row,
+    z: frozenset,
+    pattern_cache: dict = None,
+) -> bool:
+    """Conditions (b) and (c) of ``Σt[Z]`` (Sect. 5.2) for one rule φ.
+
+    (b) φ's pattern holds on the validated attributes, none of them
+    ``UNKNOWN``; (c) some master tuple matches both the validated key part
+    and the pattern part — a keyed
+    :meth:`~repro.engine.store.MasterStore.probe_ref`, or, when no key
+    attribute is validated, a pattern-only sweep whose verdict is cached
+    per rule in *pattern_cache*.  :func:`applicable_rules` and the
+    Suggest⁺ reuse check both decide survival here.
+    """
+    z_pattern_attrs = [a for a in rule.pattern.attrs if a in z]
+    if not all(  # (b)
+        rule.pattern[a].matches(row[a]) for a in z_pattern_attrs
+    ):
+        return False
+    if any(row[a] is UNKNOWN for a in z_pattern_attrs):
+        return False
+    key_attrs = tuple(a for a in rule.lhs if a in z)
+    if key_attrs:  # (c), keyed probe
+        key = tuple(row[a] for a in key_attrs)
+        if any(v is UNKNOWN for v in key):
+            return False
+        columns = rule.master_attrs_of(key_attrs)
+        matches = master.probe_ref(columns, key)
+        pattern_checks = [
+            (rule.master_attr_of(a), rule.pattern[a])
+            for a in rule.pattern.attrs
+            if a in rule.lhs and a not in z
+            and not rule.pattern[a].is_wildcard
+        ]
+        for tm in matches:
+            if not rule.master_guard.matches(tm):
+                continue
+            if all(c.matches(tm[col]) for col, c in pattern_checks):
+                return True
+        return False
+    # (c), pattern-only probe (cacheable per rule).  Keyed by the rule
+    # itself, not its name: names need not be unique (an unnamed rule is
+    # named "(X)->B"), and rules sharing one may differ in pattern or
+    # master guard.
+    holds = pattern_cache.get(rule) if pattern_cache is not None else None
+    if holds is None:
+        holds = _pattern_holds_on_master(rule, master)
+        if pattern_cache is not None:
+            pattern_cache[rule] = holds
+    return holds
+
+
 def applicable_rules(
     rules: Sequence,
     master,
@@ -75,63 +135,25 @@ def applicable_rules(
 ) -> list:
     """The refined applicable rules ``Σt[Z]`` (Sect. 5.2).
 
-    For each rule φ, keep it iff (a) its target is outside ``Z``, (b) its
-    pattern holds on the validated attributes, and (c) some master tuple
-    matches both the validated key part and the pattern part (a keyed
-    :meth:`~repro.engine.store.MasterStore.probe`); the survivor ``φ⁺``
-    absorbs the validated key attributes into its pattern with the concrete
-    values of ``t``.
+    For each rule φ, keep it iff (a) its target is outside ``Z`` and
+    :func:`rule_survives` — (b) its pattern holds on the validated
+    attributes and (c) some master tuple matches both the validated key
+    part and the pattern part; the survivor ``φ⁺`` absorbs the validated
+    key attributes into its pattern with the concrete values of ``t``.
+    Only the fresh Suggest, its witness search and :func:`s_minimum_exact`
+    read that refinement; the Suggest⁺ reuse check tests survival rule by
+    rule inside its closure and builds no ``φ⁺``.
     """
     master = as_master_store(master)
     out = []
     for rule in rules:
         if rule.rhs in z:  # (a)
             continue
-        z_pattern_attrs = [a for a in rule.pattern.attrs if a in z]
-        if not all(  # (b)
-            rule.pattern[a].matches(row[a]) for a in z_pattern_attrs
-        ):
+        if not rule_survives(rule, master, row, z, pattern_cache):
             continue
-        if any(row[a] is UNKNOWN for a in z_pattern_attrs):
-            continue
-        key_attrs = tuple(a for a in rule.lhs if a in z)
-        if key_attrs:  # (c), keyed probe
-            key = tuple(row[a] for a in key_attrs)
-            if any(v is UNKNOWN for v in key):
-                continue
-            columns = rule.master_attrs_of(key_attrs)
-            matches = master.probe_ref(columns, key)
-            pattern_checks = [
-                (rule.master_attr_of(a), rule.pattern[a])
-                for a in rule.pattern.attrs
-                if a in rule.lhs and a not in z
-                and not rule.pattern[a].is_wildcard
-            ]
-            found = False
-            for tm in matches:
-                if not rule.master_guard.matches(tm):
-                    continue
-                if all(c.matches(tm[col]) for col, c in pattern_checks):
-                    found = True
-                    break
-            if not found:
-                continue
-        else:  # (c), pattern-only probe (cacheable per rule)
-            # Keyed by the rule itself, not its name: names need not be
-            # unique (an unnamed rule is named "(X)->B"), and rules sharing
-            # one may differ in pattern or master guard.
-            holds = (
-                pattern_cache.get(rule) if pattern_cache is not None else None
-            )
-            if holds is None:
-                holds = _pattern_holds_on_master(rule, master)
-                if pattern_cache is not None:
-                    pattern_cache[rule] = holds
-            if not holds:
-                continue
         # Refinement (i)-(ii): extend the pattern with the validated key.
         refined = rule.pattern.extend(
-            {a: Const(row[a]) for a in key_attrs}
+            {a: Const(row[a]) for a in rule.lhs if a in z}
         )
         out.append(rule.with_pattern(refined))
     return out
@@ -286,7 +308,6 @@ def suggest(
         return Suggestion(
             attrs=s,
             certain=False,
-            applicable_rule_count=len(applicable),
             source="remainder",
         )
     witness = None
@@ -299,6 +320,5 @@ def suggest(
         attrs=s,
         certain=witness is not None,
         witness=witness,
-        applicable_rule_count=len(applicable),
         source="certain-region" if witness is not None else "structural",
     )

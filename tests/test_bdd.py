@@ -69,3 +69,58 @@ def test_cache_stats_zero_division():
     from repro.repair.bdd import CacheStats
 
     assert CacheStats().hit_rate == 0.0
+
+
+#: Keyed probes the reuse check makes over the 300-tuple HOSP prefix
+#: below (476 checks), as measured; a change that cuts them lowers it.
+REUSE_CHECK_PROBES = 669
+
+
+def test_reuse_check_work_on_a_fixed_hosp_prefix(monkeypatch):
+    """The lazy check builds no refined rule and probes only the rules
+    its closure reaches: a deterministic work count, not a timing."""
+    from repro.core.rules import EditingRule
+    from repro.datasets import make_dirty_dataset, make_hosp
+    from repro.engine.relation import Relation
+    from repro.engine.store import InMemoryStore
+    from repro.repair.batch import BatchRepairEngine
+    from repro.repair.oracle import SimulatedUser
+
+    bundle = make_hosp(num_hospitals=50, num_measures=10, seed=7)
+    data = make_dirty_dataset(bundle, size=300, duplicate_rate=0.3,
+                              noise_rate=0.2, seed=2)
+    store = InMemoryStore(Relation(bundle.schema, bundle.master.iter_rows()))
+    engine = BatchRepairEngine(bundle.rules, store, bundle.schema)
+    counts = {"checks": 0, "refinements": 0, "probes": 0}
+    inside = [False]
+    valid_for = SuggestionCache._valid_for
+    with_pattern = EditingRule.with_pattern
+    probe_ref = store.probe_ref
+
+    def counting_valid_for(self, *args):
+        counts["checks"] += 1
+        inside[0] = True
+        try:
+            return valid_for(self, *args)
+        finally:
+            inside[0] = False
+
+    def counting_with_pattern(self, *args, **kwargs):
+        counts["refinements"] += inside[0]
+        return with_pattern(self, *args, **kwargs)
+
+    def counting_probe_ref(*args):
+        counts["probes"] += inside[0]
+        return probe_ref(*args)
+
+    monkeypatch.setattr(SuggestionCache, "_valid_for", counting_valid_for)
+    monkeypatch.setattr(EditingRule, "with_pattern", counting_with_pattern)
+    monkeypatch.setattr(store, "probe_ref", counting_probe_ref)
+    result = engine.run(
+        [(t.dirty, SimulatedUser(t.clean)) for t in data.tuples]
+    )
+
+    assert [s.final for s in result.sessions] == [t.clean for t in data.tuples]
+    assert counts["checks"] > 0
+    assert counts["refinements"] == 0
+    assert counts["probes"] <= REUSE_CHECK_PROBES
