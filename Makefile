@@ -83,13 +83,17 @@ conformance:
 # the chase's cross-checks against exhaustive order exploration.  The
 # Suggest+ reuse check tests rules lazily inside its closure: its
 # differential test holds it to the eager applicable-rules check on a
-# mutating master.  A subset of `test`, named so a divergence is
+# mutating master.  The chase and the reuse check run on Σ compiled into
+# positional plans: their differential test holds both to the name-based
+# dict chase and survival test on permuted schemas, partial mappings and
+# a mutating master.  A subset of `test`, named so a divergence is
 # attributable on its own line (CI step).
 differential:
 	$(PYTHON) -m pytest tests/test_chase_transfix_differential.py \
 		tests/test_chase_fanout.py tests/test_chase_explorer.py \
 		tests/test_property_based.py \
-		tests/test_bdd_reuse_differential.py -q
+		tests/test_bdd_reuse_differential.py \
+		tests/test_program_differential.py -q
 
 # Every master-delta consumer against a fresh rebuild: the region guard
 # (kept regions equal a fresh CompCRegion), the shared FootprintIndex

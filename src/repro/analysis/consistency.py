@@ -23,6 +23,7 @@ from repro.analysis.active_domain import (
     read_attrs,
 )
 from repro.core.fixes import ChaseOutcome, Conflict, chase
+from repro.core.program import compile_rules
 from repro.core.patterns import PatternTuple
 from repro.core.regions import Region
 from repro.engine.relation import Relation
@@ -144,8 +145,12 @@ def check_pattern(
     max_instantiations: int = 200_000,
     domains: ActiveDomainCache = None,
 ) -> PatternCheck:
-    """Check one pattern tuple: consistency and coverage of its instances."""
-    rules = list(rules)
+    """Check one pattern tuple: consistency and coverage of its instances.
+
+    Σ is compiled once (a :class:`~repro.core.program.RuleProgram` passes
+    through) and every instance is chased on that program.
+    """
+    rules = compile_rules(rules, schema, master)
     choices = _instantiation_space(
         pattern, region.attrs, rules, master, schema, domains
     )
@@ -243,7 +248,7 @@ def check_region(
     with the caller's other analyses when *domains* is passed in); the
     report's ``domain_stats`` records the computed/reused split.
     """
-    rules = list(rules)
+    rules = compile_rules(rules, schema, master)
     if domains is None:
         domains = ActiveDomainCache(rules, master)
     report = RegionReport(region=region)

@@ -15,6 +15,14 @@ check ("is the conflicting rule's premise derivable *without* its target
 attribute?") over the hypergraph of all same-value derivations.
 :mod:`repro.analysis.chase` cross-validates this against an exhaustive
 order-exploring chase on small instances.
+
+The chase runs on Σ compiled into a positional program
+(:mod:`repro.core.program`): the tuple is one value list, each rule a plan
+holding the positions of its key, target and pattern checks.  Instead of
+rescanning Σ at every step, each rule keeps a ready count of its premise
+attributes not yet validated and is examined in the step that count
+reaches 0.  Each master line read is copied to a tuple once and shared by
+every rule probing it.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.program import compile_rules
 from repro.core.regions import Region
 from repro.core.rules import EditingRule
 from repro.engine.store import as_master_store
@@ -174,30 +183,6 @@ def applicable_pairs(
                 yield rule, tm
 
 
-def _distinct_values(rule, rows) -> tuple:
-    """One walk over a rule's master rows: ``(kept, first)``.
-
-    ``kept`` is the tuple of rows passing ``rule.master_guard``, in row
-    order; ``first`` maps each distinct ``Bm`` value among them to the first
-    row carrying it, in order of first appearance.  Values are read
-    positionally and the guard call is skipped when the guard is empty.
-    """
-    if not rows:
-        return (), {}
-    pos = rows[0].schema.index_of(rule.rhs_m)
-    if len(rule.master_guard):
-        matches = rule.master_guard.matches
-        rows = tuple(tm for tm in rows if matches(tm))
-    elif type(rows) is not tuple:
-        rows = tuple(rows)
-    first: dict = {}
-    for tm in rows:
-        value = tm.values[pos]
-        if value not in first:
-            first[value] = tm
-    return rows, first
-
-
 def _derivable_without(
     target: str,
     premises_needed: frozenset,
@@ -248,148 +233,189 @@ def chase(
     rules, master:
         The rule set Σ and the master data ``Dm`` — a
         :class:`~repro.engine.store.MasterStore` or a plain relation
-        (adapted on entry); every master access is a keyed probe.
+        (adapted on entry); every master access is a keyed probe.  Σ is a
+        :class:`~repro.core.program.RuleProgram` or a plain rule list,
+        compiled on entry; callers that chase in a loop compile once.
 
-    Master reads: each step collects every rule whose premise just became
-    validated, whose pattern matches and whose key is known — protected
-    targets included — and reads all their keys with one
+    The chase runs on the compiled program.  The tuple is one positional
+    value list (a row over the program's R is copied once, anything else
+    is read by name); the outcome's ``assignment`` dict is built only
+    when the chase returns.  Each rule keeps a ready count, the number of
+    its premise attributes not yet validated: validating an attribute
+    decrements the counts of the rules that read it, and a rule whose
+    count reaches 0 is examined in the next step.  Ready rules are
+    examined in Σ order, so applications, probe order and conflict
+    witnesses are those of a rescan of Σ at every step.
+
+    Master reads: each step collects every ready rule whose pattern
+    matches and whose key is known — protected targets included — and
+    reads all their keys with one
     :meth:`~repro.engine.store.MasterStore.probe_batch` call (a remote
     store sends that step's cache misses in one request).  Each distinct
-    ``(Xm, key)`` is read at most once per chase, and the set of them is
+    ``(Xm, key)`` is read at most once per chase and copied to a tuple
+    once, which every rule probing that line shares; the set of lines is
     the outcome's ``reads`` — the footprint delta-aware caches purge by
-    (:mod:`repro.repair.invalidation`).  In the step a rule is
-    examined, one positional walk over its read keeps the guard-passing
-    rows and their distinct ``Bm`` values (first row per value, row order).
-    Both conflict tests only compare values, so step (e) and the step (g)
-    post-pass iterate those distinct values — almost always one — rather
-    than the rows, and the post-pass reuses them in Σ order without
-    probing again.  Values that compare equal are one value (``1`` and
-    ``1.0`` do not conflict); the first in row order is the one assigned,
-    as :meth:`ChaseOutcome.first_fired` reports it.
+    (:mod:`repro.repair.invalidation`).  In the step a rule is examined,
+    one walk over its read keeps the guard-passing rows and their
+    distinct ``Bm`` values (``tm.values`` at ``Bm``'s position; first row
+    per value, row order).  Both conflict tests only compare values, so
+    step (e) and the step (g) post-pass iterate those distinct values —
+    almost always one — rather than the rows, and the post-pass reuses
+    them in Σ order without probing again.  Values that compare equal are
+    one value (``1`` and ``1.0`` do not conflict); the first in row order
+    is the one assigned, as :meth:`ChaseOutcome.first_fired` reports it.
     """
     master = as_master_store(master)
-    rules = list(rules)
+    program = compile_rules(rules, master=master)
+    plans = program.plans
+    names = program.attrs
+    readers = program.readers
     zb = frozenset(z0)
-    all_attrs = set(zb)
-    for rule in rules:
-        all_attrs.update(rule.premise_attrs)
-        all_attrs.add(rule.rhs)
-    assignment = _as_assignment(t, tuple(all_attrs))
-    for a in all_attrs:
-        assignment.setdefault(a, UNKNOWN)
-
+    values, aligned = program.load(t)
+    known, missing, ready = program.start(zb)
+    known = known[:]
+    missing = missing[:]
     validated = set(zb)
     applications: list = []
     batches = 0
-    # A rule is examined once, in the step its premise becomes validated:
+    # A rule is examined once, in the step its ready count reaches 0:
     # master data is fixed and validated values never change, so its
     # pattern verdict, key and master rows are final.  ``kept`` holds its
     # guard-passing rows and their distinct Bm values (None: pattern
     # mismatch or unknown key) for step (g), and ``read`` makes every
     # (attrs, key) one read per chase.
-    examined = [False] * len(rules)
-    kept: list = [None] * len(rules)
+    kept: list = [None] * len(plans)
     read: dict = {}
 
-    while True:
+    while ready:
         step: list = []
         wanted: dict = {}
-        for i, rule in enumerate(rules):
-            if examined[i] or not rule.premise_attrs <= validated:
-                continue
-            examined[i] = True
-            if not rule.pattern.matches_values(assignment):
-                continue
-            key = tuple(assignment[a] for a in rule.lhs)
-            if any(v is UNKNOWN for v in key):
-                continue
-            line = (rule.lhs_m, key)
-            step.append((i, line))
-            if line not in read:
-                wanted[line] = None
+        for index in ready:
+            plan = plans[index]
+            for position, condition in plan.checks:
+                value = values[position]
+                if value is UNKNOWN or not condition.matches(value):
+                    break
+            else:
+                key = plan.key_of(values)
+                if UNKNOWN in key:
+                    continue
+                line = (plan.lhs_m, key)
+                step.append((plan, line))
+                if line not in read:
+                    wanted[line] = None
         if wanted:
             lines = list(wanted)
-            read.update(zip(lines, master.probe_batch(lines)))
+            for line, rows in zip(lines, master.probe_batch(lines)):
+                read[line] = rows if type(rows) is tuple else tuple(rows)
         batch: list = []
         new_values: dict = {}
         culprit: dict = {}
-        for i, line in step:
-            rule = rules[i]
-            rows, first = kept[i] = _distinct_values(rule, read[line])
-            if not rows or rule.rhs in validated:
+        for plan, line in step:
+            rows = read[line]
+            # The distinct Bm values of the guard-passing rows, in order of
+            # first appearance (an equal later value keeps the first).
+            distinct: dict = {}
+            if rows:
+                position = plan.bm_pos
+                if position is None:  # raises: Rm has no attribute Bm
+                    position = rows[0].schema.index_of(plan.rule.rhs_m)
+                guard = plan.guard
+                if guard is not None:
+                    rows = tuple(filter(guard.matches, rows))
+                for tm in rows:
+                    value = tm.values[position]
+                    if value not in distinct:
+                        distinct[value] = None
+            kept[plan.index] = distinct
+            target = plan.rhs_pos
+            if not rows or known[target]:
                 continue  # nothing to apply, or a protected target (step (g))
-            attr = rule.rhs
-            for value in first:
-                if attr in new_values and new_values[attr] != value:
-                    return ChaseOutcome(
-                        unique=False,
-                        assignment=assignment,
-                        covered=frozenset(validated),
-                        zb=zb,
-                        conflict=Conflict(
+            rule = plan.rule
+            for value in distinct:
+                if target in new_values and new_values[target] != value:
+                    return _outcome(
+                        program, t, values, aligned, zb, validated,
+                        applications, batches, read, Conflict(
                             kind="same-batch",
-                            attr=attr,
-                            values=(new_values[attr], value),
-                            rules=(culprit[attr], rule),
+                            attr=plan.rhs,
+                            values=(new_values[target], value),
+                            rules=(culprit[target], rule),
                         ),
-                        applications=applications,
-                        batches=batches,
-                        reads=read.keys(),
                     )
-                new_values.setdefault(attr, value)
-                culprit[attr] = rule
+                new_values.setdefault(target, value)
+                culprit[target] = rule
             batch.append((rule, rows))
         if not batch:
             break
         batches += 1
         for rule, rows in batch:
             applications.append((rule, rows, batches))
-        for attr, value in new_values.items():
-            assignment[attr] = value
-            validated.add(attr)
+        ready = []
+        for target, value in new_values.items():
+            values[target] = value
+            known[target] = True
+            validated.add(names[target])
+            for index in readers[target]:
+                missing[index] -= 1
+                if not missing[index]:
+                    ready.append(index)
+        ready.sort()
 
     # Post-pass (exact step (g)): examine every pair applicable w.r.t. the
     # final values whose target is already validated — exactly the kept
     # rows, since every rule with a validated premise was examined.
-    # Same-value pairs contribute derivation edges; different-value pairs
-    # are conflicts iff their premise is derivable without their own
-    # target.  Only values matter, so each rule contributes its distinct
-    # values: at most one edge and one candidate per other value.
-    edges: list = []
+    # Different-value pairs are conflicts iff their premise is derivable
+    # without their own target over the same-value derivation edges.
+    # Only values matter, so each rule contributes its distinct values:
+    # at most one edge and one candidate per other value.  Edges are
+    # collected only when some candidate needs them.
     candidates: list = []
-    covered = frozenset(validated)
-    for rule, entry in zip(rules, kept):
-        if entry is None:
+    for plan, distinct in zip(plans, kept):
+        if distinct is None or plan.rhs in zb:
             continue
-        current = assignment[rule.rhs]
-        for value in entry[1]:
-            if value == current:
-                edges.append((rule.premise_attrs, rule.rhs))
-            elif rule.rhs not in zb:
-                candidates.append((rule, value))
-    for rule, value in candidates:
-        if _derivable_without(rule.rhs, rule.premise_attrs, edges, zb):
-            return ChaseOutcome(
-                unique=False,
-                assignment=assignment,
-                covered=covered,
-                zb=zb,
-                conflict=Conflict(
-                    kind="order-dependent",
-                    attr=rule.rhs,
-                    values=(assignment[rule.rhs], value),
-                    rules=(rule,),
-                ),
-                applications=applications,
-                batches=batches,
-                reads=read.keys(),
-            )
+        current = values[plan.rhs_pos]
+        for value in distinct:
+            if not value == current:
+                candidates.append((plan, value))
+    if candidates:
+        edges: list = []
+        for plan, distinct in zip(plans, kept):
+            if distinct is None:
+                continue
+            current = values[plan.rhs_pos]
+            for value in distinct:
+                if value == current:
+                    edges.append((plan.premise_attrs, plan.rhs))
+        for plan, value in candidates:
+            if _derivable_without(plan.rhs, plan.premise_attrs, edges, zb):
+                return _outcome(
+                    program, t, values, aligned, zb, validated,
+                    applications, batches, read, Conflict(
+                        kind="order-dependent",
+                        attr=plan.rhs,
+                        values=(values[plan.rhs_pos], value),
+                        rules=(plan.rule,),
+                    ),
+                )
+    return _outcome(
+        program, t, values, aligned, zb, validated, applications, batches,
+        read, None,
+    )
 
+
+def _outcome(
+    program, t, values, aligned, zb, validated, applications, batches, read,
+    conflict,
+) -> ChaseOutcome:
+    """The :class:`ChaseOutcome` of a chase that stopped here: unique iff
+    no *conflict*, with the assignment dict built from the value list."""
     return ChaseOutcome(
-        unique=True,
-        assignment=assignment,
-        covered=covered,
+        unique=conflict is None,
+        assignment=program.assignment(t, values, aligned, zb),
+        covered=frozenset(validated),
         zb=zb,
+        conflict=conflict,
         applications=applications,
         batches=batches,
         reads=read.keys(),

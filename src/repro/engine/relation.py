@@ -141,12 +141,14 @@ class Relation:
 
         The attribute list may repeat columns: keys are positional, and rule
         match lists may reuse one master column (see Theorem 12's reduction).
+        Attribute names are validated when the index is built; a cached
+        index proves they are valid.
         """
         key = tuple(attrs)
-        for a in key:
-            self.schema.index_of(a)
         index = self._indexes.get(key)
         if index is None:
+            for a in key:
+                self.schema.index_of(a)
             index = HashIndex(key, self._rows)
             self._indexes[key] = index
         return index

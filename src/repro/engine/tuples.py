@@ -16,15 +16,23 @@ from repro.engine.schema import RelationSchema
 class Row:
     """An immutable tuple over a :class:`RelationSchema`.
 
-    Values are stored positionally; attribute access is by name.  ``t[A]``
-    returns a single value; ``t[list_of_attrs]`` returns a tuple of values,
-    mirroring the paper's ``t[X]`` notation for attribute lists.
+    Values are stored positionally in the tuple :attr:`values`; attribute
+    access is by name.  ``t[A]`` returns a single value; ``t[list_of_attrs]``
+    returns a tuple of values, mirroring the paper's ``t[X]`` notation for
+    attribute lists.  ``schema`` and ``values`` are plain slots, read on
+    every hot path and never reassigned after construction.
     """
 
-    __slots__ = ("schema", "_values", "_hash")
+    __slots__ = ("schema", "values", "_hash")
 
     def __init__(self, schema: RelationSchema, values):
-        if isinstance(values, Mapping):
+        if type(values) is tuple:
+            if len(values) != len(schema):
+                raise ValueError(
+                    f"schema {schema.name!r} has {len(schema)} attributes, "
+                    f"got {len(values)} values"
+                )
+        elif isinstance(values, Mapping):
             try:
                 values = tuple(values[a] for a in schema.attributes)
             except KeyError as exc:
@@ -40,34 +48,30 @@ class Row:
                     f"got {len(values)} values"
                 )
         self.schema = schema
-        self._values = values
+        self.values = values
         self._hash = None
 
     # -- access ------------------------------------------------------------
 
-    @property
-    def values(self) -> tuple:
-        return self._values
-
     def __getitem__(self, attrs):
         """``t[A]`` for one attribute; ``t[[A, B]]`` for a list (the paper's t[X])."""
         if isinstance(attrs, str):
-            return self._values[self.schema.index_of(attrs)]
-        return tuple(self._values[self.schema.index_of(a)] for a in attrs)
+            return self.values[self.schema.index_of(attrs)]
+        return tuple(self.values[self.schema.index_of(a)] for a in attrs)
 
     def get(self, attr: str, default=None):
         if attr in self.schema:
-            return self._values[self.schema.index_of(attr)]
+            return self.values[self.schema.index_of(attr)]
         return default
 
     def to_dict(self) -> dict:
-        return dict(zip(self.schema.attributes, self._values))
+        return dict(zip(self.schema.attributes, self.values))
 
     def __iter__(self) -> Iterator:
-        return iter(self._values)
+        return iter(self.values)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     # -- derivation ----------------------------------------------------------
 
@@ -77,11 +81,11 @@ class Row:
         This is the update primitive behind rule application:
         ``t' = t.with_values({B: tm[Bm]})`` realizes ``t[B] := tm[Bm]``.
         """
-        positions = {self.schema.index_of(a): v for a, v in updates.items()}
-        new_values = tuple(
-            positions.get(i, v) for i, v in enumerate(self._values)
-        )
-        return Row(self.schema, new_values)
+        values = list(self.values)
+        index_of = self.schema.index_of
+        for attr, value in updates.items():
+            values[index_of(attr)] = value
+        return Row(self.schema, tuple(values))
 
     def project(self, attrs: Iterable) -> "Row":
         """The sub-row over *attrs*, bound to the projected schema."""
@@ -90,12 +94,12 @@ class Row:
 
     def rebind(self, schema: RelationSchema) -> "Row":
         """The same values bound to an equally-long *schema* (for renames)."""
-        if len(schema) != len(self._values):
+        if len(schema) != len(self.values):
             raise ValueError(
-                f"cannot rebind {len(self._values)} values to schema "
+                f"cannot rebind {len(self.values)} values to schema "
                 f"{schema.name!r} with {len(schema)} attributes"
             )
-        return Row(schema, self._values)
+        return Row(schema, self.values)
 
     # -- comparison ----------------------------------------------------------
 
@@ -115,7 +119,7 @@ class Row:
             raise ValueError("diff requires rows over the same attributes")
         return tuple(
             a
-            for a, v, w in zip(self.schema.attributes, self._values, other._values)
+            for a, v, w in zip(self.schema.attributes, self.values, other.values)
             if v != w
         )
 
@@ -127,15 +131,15 @@ class Row:
         return (
             self.schema is other.schema
             or self.schema.attributes == other.schema.attributes
-        ) and self._values == other._values
+        ) and self.values == other.values
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.schema.attributes, self._values))
+            self._hash = hash((self.schema.attributes, self.values))
         return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{a}={v!r}" for a, v in zip(self.schema.attributes, self._values)
+            f"{a}={v!r}" for a, v in zip(self.schema.attributes, self.values)
         )
         return f"Row({inner})"

@@ -59,6 +59,7 @@ from repro.analysis.consistency import (
     check_region,
 )
 from repro.core.fixes import chase
+from repro.core.program import compile_rules
 from repro.core.patterns import ANY, PatternTableau, PatternTuple
 from repro.core.regions import Region
 from repro.io import region_to_dict
@@ -219,7 +220,7 @@ def _conflict_scan(rules, master, region, pattern, schema):
     ``check_pattern`` returns early on its first *coverage* failure, with
     consistency decided by a witness-less tail scan; replaying the (already
     budget-checked) instantiations recovers the concrete conflict."""
-    rules = list(rules)
+    rules = compile_rules(rules, schema, master)
     choices = _instantiation_space(
         pattern, region.attrs, rules, master, schema
     )
@@ -467,12 +468,15 @@ def _compute(ctx: LintContext) -> Certification:
         return cert
 
     # Region resolution: declared > computed (deployment's view) > canonical.
+    # Σ compiled once: every chase below (region build, region checks,
+    # the extension search, witness scans) runs on the one program.
+    program = compile_rules(rules, schema, store)
     region = ctx.region
     source = "declared" if region is not None else None
     if region is None:
         try:
             candidates = comp_c_region(
-                rules, store, schema,
+                program, store, schema,
                 max_instantiations=ctx.max_instantiations,
             )
         except AnalysisExplosion:
@@ -480,14 +484,14 @@ def _compute(ctx: LintContext) -> Certification:
         if candidates:
             region, source = candidates[0].region, "computed"
         else:
-            region, source = _canonical_region(schema, rules), "canonical"
+            region, source = _canonical_region(schema, program), "canonical"
     cert.region, cert.region_source = region, source
 
-    domains = ActiveDomainCache(rules, store)
+    domains = ActiveDomainCache(program, store)
     report: Optional[RegionReport] = None
     try:
         report = check_region(
-            rules, store, region, schema, ctx.max_instantiations,
+            program, store, region, schema, ctx.max_instantiations,
             domains,
         )
     except AnalysisExplosion as exc:
@@ -499,7 +503,7 @@ def _compute(ctx: LintContext) -> Certification:
     # I208: exact search when the exact check ran, closure fallback else.
     if report is not None and not report.certain:
         extension, checks_spent, incomplete = _search_extension(
-            ctx, rules, store, region, schema, domains
+            ctx, program, store, region, schema, domains
         )
         cert.extension_checks = checks_spent
         if extension is not None:
@@ -508,19 +512,19 @@ def _compute(ctx: LintContext) -> Certification:
             cert.extension_exact = False
             obs.inc("repro_lint_budget_exhausted_total", code="I208")
             cert.extension = _closure_extension(
-                region, rules, schema, ctx.max_extension_size
+                region, program, schema, ctx.max_extension_size
             )
     elif cert.degraded:
         cert.extension_exact = False
         cert.extension = _closure_extension(
-            region, rules, schema, ctx.max_extension_size
+            region, program, schema, ctx.max_extension_size
         )
 
     cert.findings["E205"] = _e205_findings(
-        ctx, rules, store, region, source, report, cert.degraded_reason
+        ctx, program, store, region, source, report, cert.degraded_reason
     )
     cert.findings["W206"] = _w206_findings(
-        rules, region, source, report, schema
+        program, region, source, report, schema
     )
     cert.findings["I208"] = _i208_findings(
         region, source, cert.extension, cert.extension_exact,

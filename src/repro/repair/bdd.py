@@ -21,6 +21,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.analysis.closure import attribute_closure
+from repro.core.program import compile_rules
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
@@ -68,8 +69,10 @@ class SuggestionCache:
     """
 
     def __init__(self, rules: Sequence, master, schema: RelationSchema):
-        self.rules = list(rules)
         self.master = as_master_store(master)
+        #: Σ compiled once (a rule sequence too): the reuse check tests
+        #: rules through their positional plans.
+        self.rules = compile_rules(rules, schema, self.master)
         self.schema = schema
         self._attributes = frozenset(schema.attributes)
         self.stats = CacheStats()
@@ -110,17 +113,20 @@ class SuggestionCache:
         refinement leaves every premise unchanged, so the verdict equals
         the closure over all of ``Σt[Z]``.  That closure covering R also
         implies every attribute no applicable rule can fix lies in S.
+        The closure walks the rules' compiled plans, which read the tuple
+        by position.
         """
         self.stats.checks += 1
         s = set(suggestion.attrs)
         if not s or s & z:
             return False
         master, pattern_cache = self.master, self.pattern_cache
+        values = self.rules.values_of(row)
         closure = attribute_closure(
             z | s,
-            self.rules,
-            applies=lambda rule: rule_survives(
-                rule, master, row, z, pattern_cache
+            self.rules.plans,
+            applies=lambda plan: rule_survives(
+                plan, master, values, z, pattern_cache
             ),
         )
         return closure >= self._attributes

@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.core.fixes import ChaseOutcome, chase
+from repro.core.program import compile_rules
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
@@ -174,6 +175,14 @@ class CertainFix:
         version move performs the historical full teardown — the
         reference behaviour the equivalence fuzz compares against.
 
+    Σ is compiled once, at construction, against ``(R, Rm)`` into a
+    positional :class:`~repro.core.program.RuleProgram`.  Every chase of
+    a round (through ``chase`` as named in this module), the Suggest⁺
+    reuse check, region builds and their guard, the fix read off the
+    chase and its provenance run on that program: they read tuples by
+    position instead of looking attribute names up per rule per test.
+    ``rules`` stays the plain rule list.
+
     An engine runs on one thread: its caches (regions, the BDD, pattern
     probes, the version stamp) take no locks.  The version stamp moves
     only in :meth:`_sync_master_version`, at the start of :meth:`fix`,
@@ -203,12 +212,14 @@ class CertainFix:
         # (and the analyses this engine delegates to) reads through it.
         self.master = self.store
         self.schema = schema
+        self._program = compile_rules(self.rules, schema, self.store)
         self.max_rounds = max_rounds
         self.max_revisions = max_revisions
         self._regions = regions
         self._initial_rank = initial_region_rank
         self._cache = (
-            SuggestionCache(self.rules, self.store, schema) if use_bdd else None
+            SuggestionCache(self._program, self.store, schema)
+            if use_bdd else None
         )
         # Per-rule pattern-probe verdicts; with the BDD on, its own dict.
         self._pattern_cache: dict = (
@@ -226,10 +237,6 @@ class CertainFix:
         #: drop always discards them).
         self.region_rebuilds = 0
         self.collect_provenance = collect_provenance
-        # Position of each rule object in Σ, for provenance records.  Keyed
-        # by identity: equal-but-distinct duplicates must keep their own
-        # indices, and TransFix applies exactly these objects.
-        self._rule_index = {id(rule): i for i, rule in enumerate(self.rules)}
         # Force master indexes for every rule key up front so the first
         # monitored tuple does not pay index-build latency.
         for rule in self.rules:
@@ -247,11 +254,11 @@ class CertainFix:
                 # batch leaves the rebuild outcome unchanged.
                 record: list = []
                 self._regions = comp_c_region(
-                    self.rules, self.store, self.schema, record=record
+                    self._program, self.store, self.schema, record=record
                 )
                 if self._delta_invalidation:
                     self._region_guard = RegionGuard(
-                        self.rules, self.schema, self.store, record
+                        self._program, self.schema, self.store, record
                     )
             if not self._regions:
                 raise ValueError(
@@ -466,32 +473,41 @@ class CertainFix:
         outcome = self._chase(row, validated)
         if not outcome.unique:
             return None
-        return TransFixResult.from_chase(row, validated, outcome.first_fired())
+        return TransFixResult.from_chase(
+            row, validated, outcome.first_fired(), self._program
+        )
 
     def _chase(self, row: Row, validated: frozenset) -> ChaseOutcome:
-        """The Theorem 4 chase of ``t[Z']`` against the live master.  The
-        outcome's ``reads`` are the master footprint the batch engine's
-        memo files the round's fix under."""
-        return chase(row, validated, self.rules, self.store)
+        """The Theorem 4 chase of ``t[Z']`` against the live master, on
+        the engine's compiled program.  The outcome's ``reads`` are the
+        master footprint the batch engine's memo files the round's fix
+        under."""
+        return chase(row, validated, self._program, self.store)
 
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.
 
-        ``tm[rule.rhs_m]`` is exactly the value the application wrote
-        (TransFix assigns ``t[B] := tm[Bm]``), so an earlier application
-        overwritten later in the same round still reports its own value.
+        ``tm[Bm]`` is exactly the value the application wrote (TransFix
+        assigns ``t[B] := tm[Bm]``), so an earlier application overwritten
+        later in the same round still reports its own value.  Rules are
+        matched to their plans by identity: equal-but-distinct duplicates
+        keep their own indices, and the chase applies exactly these
+        objects.
         """
-        return tuple(
-            FixProvenance(
+        out = []
+        for rule, tm in result.applied:
+            plan = self._program.plan_of(rule)
+            out.append(FixProvenance(
                 attr=rule.rhs,
-                value=tm[rule.rhs_m],
+                value=tm[rule.rhs_m] if plan is None else plan.bm_value(tm),
                 rule_name=rule.name,
-                rule_index=self._rule_index.get(id(rule), -1),
-                master_key=tm[rule.lhs_m],
+                rule_index=-1 if plan is None else plan.index,
+                master_key=(
+                    tm[rule.lhs_m] if plan is None else plan.master_key(tm)
+                ),
                 round_index=round_index,
-            )
-            for rule, tm in result.applied
-        )
+            ))
+        return tuple(out)
 
     def _start_cursor(self):
         return self._cache.start() if self._cache is not None else None
@@ -500,7 +516,7 @@ class CertainFix:
         if cursor is not None:
             return cursor.next_suggestion(row, validated)
         return suggest(
-            self.rules,
+            self._program,
             self.store,
             self.schema,
             row,

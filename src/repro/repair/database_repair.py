@@ -20,6 +20,7 @@ from typing import Sequence
 
 from repro.analysis.dependency_graph import DependencyGraph
 from repro.core.fixes import chase
+from repro.core.program import compile_rules
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
 from repro.repair.region_search import comp_c_region
@@ -73,6 +74,7 @@ def repair_database(
     z_sets = [candidate.region.attrs for candidate in regions[:max_regions_tried]]
     rules = list(rules)
     graph = DependencyGraph(rules)
+    program = compile_rules(rules, schema, master)
     out = Relation(relation.schema)
     report = DatabaseRepairReport()
     all_attrs = set(schema.attributes)
@@ -85,7 +87,7 @@ def repair_database(
         saw_evidence = False
         saw_conflict = False
         for z in z_sets:
-            outcome = chase(row, z, rules, master)
+            outcome = chase(row, z, program, master)
             if not outcome.unique:
                 saw_conflict = True
                 continue

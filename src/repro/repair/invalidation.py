@@ -66,6 +66,7 @@ from repro.analysis.active_domain import (
 from repro.analysis.consistency import AnalysisExplosion, check_pattern
 from repro.analysis.zproblems import projection_options, row_projected_patterns
 from repro.core.fixes import chase
+from repro.core.program import compile_rules
 from repro.core.regions import Region
 from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore
@@ -262,7 +263,8 @@ class RegionGuard:
         store: MasterStore,
         seed_records: Sequence,
     ):
-        self._rules = list(rules)
+        # Compiled once: re-verification chases on it.
+        self._rules = compile_rules(rules, schema, store)
         self._schema = schema  # the input schema R (region attrs live here)
         self._master_schema = store.schema
         # Mutable copies: check entries become [pattern, verdict, reads]

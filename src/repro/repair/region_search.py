@@ -32,6 +32,7 @@ from repro.analysis.closure import (
 from repro.analysis.consistency import check_pattern
 from repro.analysis.zproblems import master_projected_patterns
 from repro.core.patterns import PatternTableau
+from repro.core.program import compile_rules
 from repro.core.regions import Region
 from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore, as_master_store
@@ -87,6 +88,7 @@ def _validated_tableau(
     the build reads master data by key nowhere else — candidate
     generation and active domains only sweep.
     """
+    rules = compile_rules(rules, schema, master)
     candidates = master_projected_patterns(z, rules, master)
     # The build runs at one master version: sweep each active domain once
     # per seed, not once per checked pattern.
@@ -153,7 +155,8 @@ def comp_c_region(
     (see :func:`_validated_tableau`) for delta-aware retention.
     """
     master = as_master_store(master)
-    rules = list(rules)
+    # Compiled once: every check_pattern of the build chases on it.
+    rules = compile_rules(rules, schema, master)
     all_attrs = set(schema.attributes)
     base = tuple(a for a in schema.attributes if a in mandatory_attrs(schema, rules))
     optional = [a for a in schema.attributes if a not in base]

@@ -33,6 +33,7 @@ from repro.analysis.zproblems import (
     attr_pattern_constants,
 )
 from repro.core.patterns import ANY, Const, PatternTuple
+from repro.core.program import compile_rules
 from repro.core.regions import Region
 from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore, as_master_store
@@ -72,52 +73,73 @@ def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
 
 
 def rule_survives(
-    rule,
+    plan,
     master: MasterStore,
-    row: Row,
+    values: Sequence,
     z: frozenset,
     pattern_cache: dict = None,
 ) -> bool:
     """Conditions (b) and (c) of ``Σt[Z]`` (Sect. 5.2) for one rule φ.
 
-    (b) φ's pattern holds on the validated attributes, none of them
-    ``UNKNOWN``; (c) some master tuple matches both the validated key part
-    and the pattern part — a keyed
-    :meth:`~repro.engine.store.MasterStore.probe_ref`, or, when no key
-    attribute is validated, a pattern-only sweep whose verdict is cached
-    per rule in *pattern_cache*.  :func:`applicable_rules` and the
-    Suggest⁺ reuse check both decide survival here.
+    *plan* is φ's :class:`~repro.core.program.RulePlan` and *values* the
+    tuple's values aligned with its program
+    (:meth:`~repro.core.program.RuleProgram.values_of`).  (b) φ's pattern
+    holds on the validated attributes, none of them ``UNKNOWN``; (c) some
+    master tuple matches both the validated key part and the pattern part
+    — a keyed :meth:`~repro.engine.store.MasterStore.probe_ref`, or, when
+    no key attribute is validated, a pattern-only sweep whose verdict is
+    cached per rule in *pattern_cache*.  When the whole premise
+    ``X ∪ Xp`` lies in Z the probe is on the full key ``Xm`` and only the
+    master guard is left to test on the rows it returns.
+    :func:`applicable_rules` and the Suggest⁺ reuse check both decide
+    survival here.
     """
-    z_pattern_attrs = [a for a in rule.pattern.attrs if a in z]
-    if not all(  # (b)
-        rule.pattern[a].matches(row[a]) for a in z_pattern_attrs
-    ):
-        return False
-    if any(row[a] is UNKNOWN for a in z_pattern_attrs):
-        return False
-    key_attrs = tuple(a for a in rule.lhs if a in z)
-    if key_attrs:  # (c), keyed probe
-        key = tuple(row[a] for a in key_attrs)
-        if any(v is UNKNOWN for v in key):
+    for attr, position, condition in plan.pattern_slots:  # (b)
+        if attr not in z:
+            continue
+        value = values[position]
+        if value is UNKNOWN or (
+            condition is not None and not condition.matches(value)
+        ):
             return False
-        columns = rule.master_attrs_of(key_attrs)
+    if plan.lhs_pos and plan.premise_attrs <= z:  # (c), full key
+        key = plan.key_of(values)
+        if UNKNOWN in key:
+            return False
+        matches = master.probe_ref(plan.lhs_m, key)
+        guard = plan.guard
+        if guard is None:
+            return len(matches) > 0
+        return any(guard.matches(tm) for tm in matches)
+    key_slots = [entry for entry in plan.lhs_slots if entry[0] in z]
+    if key_slots:  # (c), keyed probe on the validated part of the key
+        key = tuple([values[position] for _, position, _, _ in key_slots])
+        if UNKNOWN in key:
+            return False
+        columns = tuple([column for _, _, column, _ in key_slots])
         matches = master.probe_ref(columns, key)
-        pattern_checks = [
-            (rule.master_attr_of(a), rule.pattern[a])
-            for a in rule.pattern.attrs
-            if a in rule.lhs and a not in z
-            and not rule.pattern[a].is_wildcard
+        checks = [
+            (column, mpos, condition)
+            for attr, column, mpos, condition in plan.master_checks
+            if attr not in z
         ]
+        guard = plan.guard
         for tm in matches:
-            if not rule.master_guard.matches(tm):
+            if guard is not None and not guard.matches(tm):
                 continue
-            if all(c.matches(tm[col]) for col, c in pattern_checks):
+            if all(
+                condition.matches(
+                    tm[column] if mpos is None else tm.values[mpos]
+                )
+                for column, mpos, condition in checks
+            ):
                 return True
         return False
     # (c), pattern-only probe (cacheable per rule).  Keyed by the rule
     # itself, not its name: names need not be unique (an unnamed rule is
     # named "(X)->B"), and rules sharing one may differ in pattern or
     # master guard.
+    rule = plan.rule
     holds = pattern_cache.get(rule) if pattern_cache is not None else None
     if holds is None:
         holds = _pattern_holds_on_master(rule, master)
@@ -142,16 +164,20 @@ def applicable_rules(
     key attributes into its pattern with the concrete values of ``t``.
     Only the fresh Suggest, its witness search and :func:`s_minimum_exact`
     read that refinement; the Suggest⁺ reuse check tests survival rule by
-    rule inside its closure and builds no ``φ⁺``.
+    rule inside its closure and builds no ``φ⁺``.  *rules* is a plain
+    rule list or a :class:`~repro.core.program.RuleProgram`.
     """
     master = as_master_store(master)
+    program = compile_rules(rules, row.schema, master)
+    values = program.values_of(row)
     out = []
-    for rule in rules:
-        if rule.rhs in z:  # (a)
+    for plan in program.plans:
+        if plan.rhs in z:  # (a)
             continue
-        if not rule_survives(rule, master, row, z, pattern_cache):
+        if not rule_survives(plan, master, values, z, pattern_cache):
             continue
         # Refinement (i)-(ii): extend the pattern with the validated key.
+        rule = plan.rule
         refined = rule.pattern.extend(
             {a: Const(row[a]) for a in rule.lhs if a in z}
         )
@@ -172,6 +198,8 @@ def _witness_search(
 ):
     """Look for a pattern over ``Z ∪ S`` (values of ``t`` on ``Z``, master
     projections on ``S``) that certifies a certain region (Prop. 20)."""
+    # Compiled once: every candidate's check chases on the same program.
+    rules = compile_rules(rules, schema, master)
     zs = tuple(a for a in schema.attributes if a in z or a in set(s))
     per_attr_static = {}
     per_attr_columns = {}
@@ -246,7 +274,10 @@ def s_minimum_exact(
     """
     master = as_master_store(master)
     z = frozenset(z)
-    applicable = applicable_rules(rules, master, row, z)
+    # Compiled once: the witness search of every subset chases on it.
+    applicable = compile_rules(
+        applicable_rules(rules, master, row, z), schema, master
+    )
     candidates = [a for a in schema.attributes if a not in z]
     all_attrs = set(schema.attributes)
     limit = max_size if max_size is not None else len(candidates)
