@@ -266,15 +266,23 @@ def chase(
     is the one assigned, as :meth:`ChaseOutcome.first_fired` reports it.
     """
     master = as_master_store(master)
-    program = compile_rules(rules, master=master)
+    program = compile_rules(rules, None, master)
     plans = program.plans
     names = program.attrs
     readers = program.readers
     zb = frozenset(z0)
     values, aligned = program.load(t)
-    known, missing, ready = program.start(zb)
-    known = known[:]
-    missing = missing[:]
+    # ``known`` flags validated positions; ``missing`` counts each rule's
+    # unvalidated premise attributes.
+    known = [False] * len(names)
+    missing = [len(plan.premise_pos) for plan in plans]
+    for attr in zb:
+        position = program.positions.get(attr)
+        if position is not None:
+            known[position] = True
+            for index in readers[position]:
+                missing[index] -= 1
+    ready = [index for index, count in enumerate(missing) if not count]
     validated = set(zb)
     applications: list = []
     batches = 0
@@ -318,8 +326,6 @@ def chase(
             distinct: dict = {}
             if rows:
                 position = plan.bm_pos
-                if position is None:  # raises: Rm has no attribute Bm
-                    position = rows[0].schema.index_of(plan.rule.rhs_m)
                 guard = plan.guard
                 if guard is not None:
                     rows = tuple(filter(guard.matches, rows))

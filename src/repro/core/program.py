@@ -12,6 +12,9 @@ reads tuples by position:
 * the probe attributes ``Xm`` and the position of ``Bm`` in Rm;
 * the master guard, or ``None`` when it poses no condition.
 
+Σ is compiled against a master schema: a rule reading an attribute Rm
+lacks is refused here, once, rather than on the first master row read.
+
 The program itself is a read-only sequence of the rules of Σ, so it can be
 passed wherever a rule list is expected; :func:`compile_rules` returns an
 already-compiled program unchanged, the way
@@ -23,14 +26,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
-
-#: How many distinct start sets a program remembers the readiness
-#: state of (see :meth:`RuleProgram.start`).
-_MAX_STARTS = 4096
 
 
 def positional_getter(positions: Sequence) -> Callable:
@@ -50,16 +49,16 @@ class RulePlan:
     ``rhs`` and ``premise_attrs`` mirror the rule's, so a plan stands in
     for its rule in :func:`~repro.analysis.closure.attribute_closure`.
     Positions index the program's attribute list (R first); master
-    positions index Rm and are ``None`` for an attribute Rm lacks.
+    positions index Rm.
     """
 
     __slots__ = (
         "rule", "index", "rhs", "premise_attrs", "premise_pos", "lhs_pos",
         "key_of", "rhs_pos", "checks", "pattern_slots", "lhs_slots",
-        "master_checks", "lhs_m", "xm_pos", "bm_pos", "guard",
+        "master_checks", "lhs_m", "bm_pos", "guard",
     )
 
-    def __init__(self, rule, index: int, slot: Callable, master_pos: Mapping):
+    def __init__(self, rule, index: int, slot: Callable, master_pos: Callable):
         self.rule = rule
         self.index = index
         self.rhs = rule.rhs
@@ -82,35 +81,20 @@ class RulePlan:
             (pos, c) for _, pos, c in self.pattern_slots if c is not None
         )
         self.lhs_m = rule.lhs_m
+        #: ``(attr, position, Xm attr)`` per key attribute.
         self.lhs_slots = tuple(
-            (a, slot(a), am, master_pos.get(am))
-            for a, am in zip(rule.lhs, rule.lhs_m)
+            (a, slot(a), am) for a, am in zip(rule.lhs, rule.lhs_m)
         )
         #: Non-wildcard pattern conditions on X, read off the matched
-        #: master row through the rule's correspondence: ``(attr, Xm
-        #: attr, Rm position, condition)``.
+        #: master row through the rule's correspondence: ``(attr, Rm
+        #: position, condition)``.
         self.master_checks = tuple(
-            (a, am, mpos, pattern[a])
-            for a, _, am, mpos in self.lhs_slots
+            (a, master_pos(am), pattern[a])
+            for a, am in zip(rule.lhs, rule.lhs_m)
             if a in pattern and not pattern[a].is_wildcard
         )
-        xm_pos = tuple(master_pos.get(am) for am in rule.lhs_m)
-        self.xm_pos = None if None in xm_pos else xm_pos
-        self.bm_pos = master_pos.get(rule.rhs_m)
+        self.bm_pos = master_pos(rule.rhs_m)
         self.guard = rule.master_guard if len(rule.master_guard) else None
-
-    def bm_value(self, tm):
-        """``tm[Bm]``, by position when Rm has ``Bm``."""
-        if self.bm_pos is None:
-            return tm[self.rule.rhs_m]
-        return tm.values[self.bm_pos]
-
-    def master_key(self, tm) -> tuple:
-        """``tm[Xm]``, by position when Rm has every attribute of ``Xm``."""
-        if self.xm_pos is None:
-            return tm[self.lhs_m]
-        values = tm.values
-        return tuple([values[p] for p in self.xm_pos])
 
     def __repr__(self) -> str:
         return f"RulePlan[{self.index}: {self.rule.name}]"
@@ -128,14 +112,12 @@ class RuleProgram(Sequence):
     validated.
     """
 
-    def __init__(self, rules, schema=None, master_schema=None):
+    def __init__(self, rules, schema, master_schema):
         self.rules = tuple(rules)
         self.schema = schema
         self.master_schema = master_schema
         self.schema_attrs = schema.attributes if schema is not None else None
-        self.master_attrs = (
-            master_schema.attributes if master_schema is not None else None
-        )
+        self.master_attrs = master_schema.attributes
         attrs: list = list(self.schema_attrs or ())
         positions = {a: i for i, a in enumerate(attrs)}
         rule_attrs: dict = {}
@@ -148,9 +130,8 @@ class RuleProgram(Sequence):
                 attrs.append(attr)
             return position
 
-        master_pos = {a: i for i, a in enumerate(self.master_attrs or ())}
         self.plans = tuple(
-            RulePlan(rule, i, slot, master_pos)
+            RulePlan(rule, i, slot, master_schema.index_of)
             for i, rule in enumerate(self.rules)
         )
         self.attrs = tuple(attrs)
@@ -163,10 +144,6 @@ class RuleProgram(Sequence):
             for position in plan.premise_pos:
                 readers[position].append(plan.index)
         self.readers = tuple(tuple(r) for r in readers)
-        # By identity, last occurrence winning: equal-but-distinct
-        # duplicates keep their own index, as provenance reports them.
-        self._by_id = {id(plan.rule): plan for plan in self.plans}
-        self._starts: dict = {}
 
     def __reduce__(self):
         # Plans hold closures; rebuild them on the other side.
@@ -185,10 +162,6 @@ class RuleProgram(Sequence):
 
     def __repr__(self) -> str:
         return f"RuleProgram({len(self.rules)} rules over {len(self.attrs)} attrs)"
-
-    def plan_of(self, rule) -> Optional[RulePlan]:
-        """The plan compiled from this very rule object, or ``None``."""
-        return self._by_id.get(id(rule))
 
     # -- tuples as positional values -------------------------------------------
 
@@ -242,43 +215,21 @@ class RuleProgram(Sequence):
                 out[attr] = UNKNOWN
         return out
 
-    def start(self, zb: frozenset) -> tuple:
-        """``(known, missing, ready)`` for a chase validating *zb* first.
 
-        ``known`` flags validated attribute positions, ``missing`` counts
-        each plan's unvalidated premise attributes and ``ready`` lists,
-        in Σ order, the plans with none.  Callers copy the two lists
-        before mutating them: start sets repeat, so they are memoized.
-        """
-        state = self._starts.get(zb)
-        if state is None:
-            known = [False] * len(self.attrs)
-            missing = [len(plan.premise_pos) for plan in self.plans]
-            for attr in zb:
-                position = self.positions.get(attr)
-                if position is None:
-                    continue
-                known[position] = True
-                for index in self.readers[position]:
-                    missing[index] -= 1
-            ready = tuple(i for i, m in enumerate(missing) if not m)
-            state = (known, missing, ready)
-            if len(self._starts) < _MAX_STARTS:
-                self._starts[zb] = state
-        return state
-
-
-def compile_rules(rules, schema=None, master=None) -> RuleProgram:
-    """Compile Σ against R (*schema*) and Rm (*master*'s schema).
+def compile_rules(rules, schema, master) -> RuleProgram:
+    """Compile Σ against R (*schema*, or ``None`` for partial assignments)
+    and Rm (*master*'s schema).
 
     A :class:`RuleProgram` compiled against the same Rm is returned as it
     is, whatever R it was compiled for: a row over another schema is read
     by name.  *master* is anything with a ``schema`` (a store or a
-    relation).
+    relation).  Raises :class:`KeyError` when Rm lacks an attribute a
+    plan reads by position: a rule's ``Bm``, or an ``Xm`` attribute whose
+    ``X`` attribute the rule's pattern constrains.
     """
-    master_schema = master.schema if master is not None else None
+    master_schema = master.schema
     if isinstance(rules, RuleProgram):
-        if master_schema is None or rules.master_attrs == master_schema.attributes:
+        if rules.master_attrs == master_schema.attributes:
             return rules
         return RuleProgram(
             rules.rules, schema if schema is not None else rules.schema,

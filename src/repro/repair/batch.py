@@ -74,7 +74,6 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import obs
-from repro.core.program import positional_getter
 from repro.engine.csvio import stream_rows_from_csv
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
@@ -358,10 +357,6 @@ class _MemoCertainFix(CertainFix):
         self._chase_footprints = FootprintIndex(self.store.schema)
         #: Chase memo hits and misses over the engine's lifetime.
         self.chase_stats = MemoStats()
-        # Z' -> (sorted Z', getter of t[Z'] off a row over R): validated
-        # sets repeat across tuples, so each is sorted and resolved to
-        # positions once.
-        self._memo_slots: dict = {}
 
     def counters(self) -> EngineCounters:
         """Snapshot of every counter a :class:`BatchReport` carries."""
@@ -401,16 +396,8 @@ class _MemoCertainFix(CertainFix):
         return True
 
     def _memo_key(self, row: Row, validated: frozenset) -> tuple:
-        slots = self._memo_slots.get(validated)
-        if slots is None:
-            attrs = tuple(sorted(validated))
-            slots = self._memo_slots[validated] = (attrs, positional_getter(
-                [self.schema.index_of(a) for a in attrs]
-            ))
-        attrs, values_of = slots
-        if row.schema.attributes != self.schema.attributes:
-            return attrs, row[attrs]
-        return attrs, values_of(row.values)
+        attrs = tuple(sorted(validated))
+        return attrs, row[attrs]
 
     def _validated_fix(
         self, row: Row, validated: frozenset
@@ -424,16 +411,12 @@ class _MemoCertainFix(CertainFix):
             obs.inc("repro_chase_memo_total", result="hit")
             if applied is None:
                 return None
-            return TransFixResult.from_chase(
-                row, validated, applied, self._program
-            )
+            return TransFixResult.from_chase(row, validated, applied)
         self.chase_stats.misses += 1
         obs.inc("repro_chase_memo_total", result="miss")
         outcome = self._chase(row, validated)
         result = (
-            TransFixResult.from_chase(
-                row, validated, outcome.first_fired(), self._program
-            )
+            TransFixResult.from_chase(row, validated, outcome.first_fired())
             if outcome.unique else None
         )
         self._chase_memo[key] = (

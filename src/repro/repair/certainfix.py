@@ -178,10 +178,9 @@ class CertainFix:
     Σ is compiled once, at construction, against ``(R, Rm)`` into a
     positional :class:`~repro.core.program.RuleProgram`.  Every chase of
     a round (through ``chase`` as named in this module), the Suggest⁺
-    reuse check, region builds and their guard, the fix read off the
-    chase and its provenance run on that program: they read tuples by
-    position instead of looking attribute names up per rule per test.
-    ``rules`` stays the plain rule list.
+    reuse check, region builds and their guard run on that program: they
+    read tuples by position instead of looking attribute names up per
+    rule per test.  ``rules`` stays the plain rule list.
 
     An engine runs on one thread: its caches (regions, the BDD, pattern
     probes, the version stamp) take no locks.  The version stamp moves
@@ -237,6 +236,10 @@ class CertainFix:
         #: drop always discards them).
         self.region_rebuilds = 0
         self.collect_provenance = collect_provenance
+        # Position of each rule object in Σ, for provenance records.  Keyed
+        # by identity: equal-but-distinct duplicates must keep their own
+        # indices, and TransFix applies exactly these objects.
+        self._rule_index = {id(rule): i for i, rule in enumerate(self.rules)}
         # Force master indexes for every rule key up front so the first
         # monitored tuple does not pay index-build latency.
         for rule in self.rules:
@@ -473,9 +476,7 @@ class CertainFix:
         outcome = self._chase(row, validated)
         if not outcome.unique:
             return None
-        return TransFixResult.from_chase(
-            row, validated, outcome.first_fired(), self._program
-        )
+        return TransFixResult.from_chase(row, validated, outcome.first_fired())
 
     def _chase(self, row: Row, validated: frozenset) -> ChaseOutcome:
         """The Theorem 4 chase of ``t[Z']`` against the live master, on
@@ -487,27 +488,21 @@ class CertainFix:
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.
 
-        ``tm[Bm]`` is exactly the value the application wrote (TransFix
-        assigns ``t[B] := tm[Bm]``), so an earlier application overwritten
-        later in the same round still reports its own value.  Rules are
-        matched to their plans by identity: equal-but-distinct duplicates
-        keep their own indices, and the chase applies exactly these
-        objects.
+        ``tm[rule.rhs_m]`` is exactly the value the application wrote
+        (TransFix assigns ``t[B] := tm[Bm]``), so an earlier application
+        overwritten later in the same round still reports its own value.
         """
-        out = []
-        for rule, tm in result.applied:
-            plan = self._program.plan_of(rule)
-            out.append(FixProvenance(
+        return tuple(
+            FixProvenance(
                 attr=rule.rhs,
-                value=tm[rule.rhs_m] if plan is None else plan.bm_value(tm),
+                value=tm[rule.rhs_m],
                 rule_name=rule.name,
-                rule_index=-1 if plan is None else plan.index,
-                master_key=(
-                    tm[rule.lhs_m] if plan is None else plan.master_key(tm)
-                ),
+                rule_index=self._rule_index.get(id(rule), -1),
+                master_key=tm[rule.lhs_m],
                 round_index=round_index,
-            ))
-        return tuple(out)
+            )
+            for rule, tm in result.applied
+        )
 
     def _start_cursor(self):
         return self._cache.start() if self._cache is not None else None

@@ -88,11 +88,8 @@ def rule_survives(
     master tuple matches both the validated key part and the pattern part
     — a keyed :meth:`~repro.engine.store.MasterStore.probe_ref`, or, when
     no key attribute is validated, a pattern-only sweep whose verdict is
-    cached per rule in *pattern_cache*.  When the whole premise
-    ``X ∪ Xp`` lies in Z the probe is on the full key ``Xm`` and only the
-    master guard is left to test on the rows it returns.
-    :func:`applicable_rules` and the Suggest⁺ reuse check both decide
-    survival here.
+    cached per rule in *pattern_cache*.  :func:`applicable_rules` and the
+    Suggest⁺ reuse check both decide survival here.
     """
     for attr, position, condition in plan.pattern_slots:  # (b)
         if attr not in z:
@@ -102,25 +99,16 @@ def rule_survives(
             condition is not None and not condition.matches(value)
         ):
             return False
-    if plan.lhs_pos and plan.premise_attrs <= z:  # (c), full key
-        key = plan.key_of(values)
-        if UNKNOWN in key:
-            return False
-        matches = master.probe_ref(plan.lhs_m, key)
-        guard = plan.guard
-        if guard is None:
-            return len(matches) > 0
-        return any(guard.matches(tm) for tm in matches)
     key_slots = [entry for entry in plan.lhs_slots if entry[0] in z]
     if key_slots:  # (c), keyed probe on the validated part of the key
-        key = tuple([values[position] for _, position, _, _ in key_slots])
+        key = tuple([values[position] for _, position, _ in key_slots])
         if UNKNOWN in key:
             return False
-        columns = tuple([column for _, _, column, _ in key_slots])
+        columns = tuple([column for _, _, column in key_slots])
         matches = master.probe_ref(columns, key)
         checks = [
-            (column, mpos, condition)
-            for attr, column, mpos, condition in plan.master_checks
+            (mpos, condition)
+            for attr, mpos, condition in plan.master_checks
             if attr not in z
         ]
         guard = plan.guard
@@ -128,10 +116,7 @@ def rule_survives(
             if guard is not None and not guard.matches(tm):
                 continue
             if all(
-                condition.matches(
-                    tm[column] if mpos is None else tm.values[mpos]
-                )
-                for column, mpos, condition in checks
+                condition.matches(tm.values[mpos]) for mpos, condition in checks
             ):
                 return True
         return False

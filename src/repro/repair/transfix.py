@@ -43,9 +43,7 @@ class TransFixResult:
     lookups: int = 0
 
     @classmethod
-    def from_chase(
-        cls, row: Row, validated: Iterable, fired, program=None
-    ) -> "TransFixResult":
+    def from_chase(cls, row: Row, validated: Iterable, fired) -> "TransFixResult":
         """The TransFix result of ``(row, validated)``, read off a unique
         chase of the same start point instead of recomputed.
 
@@ -57,17 +55,12 @@ class TransFixResult:
         maximal fix sequence reaches, so TransFix's sequence ends there
         too: ``applied`` keeps the first application per attribute in
         chase order, ``validated`` grows by exactly those attributes, and
-        no master lookups are spent.  With the chase's compiled *program*
-        (:class:`~repro.core.program.RuleProgram`), ``tm[Bm]`` is read by
-        position.
+        no master lookups are spent.
         """
         first: dict = {}
         for rule, tm, *_ in fired:
             first.setdefault(rule.rhs, (rule, tm))
-        fixes = {}
-        for attr, (rule, tm) in first.items():
-            plan = program.plan_of(rule) if program is not None else None
-            fixes[attr] = tm[rule.rhs_m] if plan is None else plan.bm_value(tm)
+        fixes = {attr: tm[rule.rhs_m] for attr, (rule, tm) in first.items()}
         return cls(
             row=row.with_values(fixes) if fixes else row,
             validated=frozenset(validated).union(fixes),

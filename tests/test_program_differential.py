@@ -432,3 +432,17 @@ def test_compiled_chase_and_survival_on_fanned_out_masters():
     check()
     assert {"same-batch", "order-dependent", "protected",
             "survives=True", "survives=False"} <= seen
+
+
+def test_compiling_against_a_master_that_lacks_a_read_attribute_fails():
+    """A plan reads ``Bm`` (and a pattern-checked ``Xm``) by position, so a
+    master schema without it is refused when Σ is compiled, before any
+    master row is read."""
+    store = InMemoryStore(Relation(RM, []))
+    no_bm = [EditingRule("a", "v", "b", "z")]
+    checked_xm = [EditingRule("a", "z", "b", "w", PatternTuple({"a": Const(1)}))]
+    for rules in (no_bm, checked_xm):
+        with pytest.raises(KeyError, match="no attribute 'z'"):
+            compile_rules(rules, R, store)
+    with pytest.raises(KeyError, match="no attribute 'z'"):
+        chase(Row(R, (0, 1, 2, 3, 4)), {"a"}, no_bm, store)

@@ -5,10 +5,11 @@ chase memo all assume an :class:`EditingRule`, a :class:`PatternTuple` or a
 :class:`Row` never changes after construction.  A ``__setattr__`` guard
 would enforce that at run time, but it makes every construction several
 times slower, so this check is static instead: it parses every module
-under ``src`` and ``tests`` and finds no assignment, deletion, ``setattr``
-or ``object.__setattr__`` of one of those fields outside the owning class
-body.  Inside any class, ``self.<field> = ...`` assigns that class's own
-attribute and is allowed.  The lazily cached ``_hash`` is exempt.
+under ``src``, ``tests``, ``benchmarks``, ``perfbench`` and ``examples``
+and finds no assignment, deletion, ``setattr`` or ``object.__setattr__``
+of one of those fields outside the owning class body.  Inside any class,
+``self.<field> = ...`` assigns that class's own attribute and is allowed.
+The lazily cached ``_hash`` is exempt.
 """
 
 import ast
@@ -115,7 +116,9 @@ def find_field_assignments(base: Path, roots) -> list:
 
 
 def test_no_code_reassigns_rule_pattern_or_row_fields():
-    assert find_field_assignments(ROOT, ["src", "tests"]) == []
+    assert find_field_assignments(
+        ROOT, ["src", "tests", "benchmarks", "perfbench", "examples"]
+    ) == []
 
 
 def test_the_check_sees_each_kind_of_assignment(tmp_path):
