@@ -96,8 +96,8 @@ differential:
 		tests/test_program_differential.py -q
 
 # Every master-delta consumer against a fresh rebuild: the region guard
-# (kept regions equal a fresh CompCRegion), the shared FootprintIndex
-# both it and the chase memo purge through, the footprints the chase and
+# (kept regions equal a fresh CompCRegion), the FootprintIndex it finds
+# the checks a changed row touched through, the footprints the chase and
 # the pattern check report (every keyed read lies in them), and the
 # delta-vs-full-drop equivalence fuzz.  A subset of `test`, named so a
 # divergence in a delta consumer is attributable on its own line (CI step).

@@ -5,8 +5,8 @@ Seeds the repo's perf trajectory (``BENCH_batch.json``): the baseline is
 ``CertainFix.fix_stream`` exactly as the experiments run it — a bare
 sequential loop with fresh ``Suggest`` calls every round — and the
 contender is :class:`repro.repair.batch.BatchRepairEngine` with all shared
-caches enabled (precomputed regions, master indexes, the Suggest⁺ BDD and
-validated-pattern memoization), monitoring inline on one thread.
+caches enabled (precomputed regions, master indexes and the Suggest⁺
+BDD), monitoring inline on one thread.
 
 An ``obs_overhead`` series re-runs the sequential hosp batch with
 ``repro.obs`` telemetry enabled and gates the cost (default: within 5%
@@ -87,7 +87,7 @@ def _time_batch(bundle, data, regions) -> dict:
     started = time.perf_counter()
     engine = BatchRepairEngine(
         bundle.rules, bundle.master, bundle.schema,
-        regions=regions, use_bdd=True, memoize=True,
+        regions=regions, use_bdd=True,
     )
     result = engine.run_dirty(data)
     elapsed = time.perf_counter() - started  # engine setup included
@@ -101,8 +101,8 @@ def _time_cpu_bound(bundle, data, regions, workers, cost, chunk_size):
     """One CPU-bound-oracle run; returns (stats dict, fixed rows).
 
     Timing includes engine construction — for the process pool that
-    means pool spawn and per-worker rehydration (regions, indexes, memo
-    tables), the real cost a deployment would pay.  ``use_bdd=False`` so
+    means pool spawn and per-worker rehydration (regions, indexes), the
+    real cost a deployment would pay.  ``use_bdd=False`` so
     sessions are bit-identical to the inline run by construction and the
     identity check below is exact.
     """
@@ -113,7 +113,7 @@ def _time_cpu_bound(bundle, data, regions, workers, cost, chunk_size):
     started = time.perf_counter()
     engine = BatchRepairEngine(
         bundle.rules, bundle.master, bundle.schema,
-        regions=regions, use_bdd=False, memoize=True,
+        regions=regions, use_bdd=False,
         concurrency=workers, chunk_size=chunk_size,
     )
     with engine:

@@ -13,7 +13,7 @@ Seeds ``BENCH_store.json``.  Six questions, per dataset:
    (the steady state of a monitoring service);
 3. **post-update rerun** — one master insert between runs bumps the store
    version (over HTTP for the remote backend), so the rerun first rebuilds
-   regions/BDD/memos; the gap between (2) and (3) is the price of an
+   regions/BDD; the gap between (2) and (3) is the price of an
    incremental master update;
 4. **sustained mutations** — a series of master inserts alternating with
    updates of the row just inserted, each followed by a rerun, the

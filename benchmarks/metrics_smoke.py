@@ -149,8 +149,8 @@ def run() -> int:
                    f"progress heartbeats on stderr ({len(heartbeats)} lines)")
             _check(any("tuples/s" in line for line in heartbeats),
                    "heartbeats report a tuples/s rate")
-            _check(any("chase" in line for line in heartbeats),
-                   "heartbeats report cache hit rates")
+            _check(any("suggest" in line for line in heartbeats),
+                   "heartbeats report the suggestion cache hit rate")
 
             report = json.loads(report_json.read_text())
             _check(report["tuples"] == INPUT_SIZE,

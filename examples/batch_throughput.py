@@ -3,11 +3,9 @@
 
 The paper's CertainFix monitors one tuple at a time; production streams
 arrive in bulk.  ``BatchRepairEngine`` precomputes the certain regions,
-master hash indexes and the Suggest⁺ BDD once, memoizes each round's
-unique-fix chase (whose fixpoint is the round's fix) on the validated
-pattern, and runs the stream in chunks — here on
-a HOSP workload, with the CSV round trip the CLI's ``batch-repair`` command
-uses.
+master hash indexes and the Suggest⁺ BDD once, reuses them for every
+tuple, and runs the stream in chunks — here on a HOSP workload, with
+the CSV round trip the CLI's ``batch-repair`` command uses.
 
 Run:  PYTHONPATH=src python examples/batch_throughput.py
 """
@@ -32,7 +30,7 @@ def main():
     # ------------------------------------------------- the batch engine
     engine = BatchRepairEngine(
         hosp.rules, hosp.master, hosp.schema,
-        use_bdd=True, memoize=True, chunk_size=64,
+        use_bdd=True, chunk_size=64,
     )
     result = engine.run_dirty(data)
     print("\n## BatchRepairEngine")

@@ -298,7 +298,6 @@ def _cmd_batch_repair(args) -> int:
             master,
             master.schema,  # same-schema deployments (R = Rm), as in Sect. 6
             use_bdd=not args.no_bdd,
-            memoize=not args.no_memoize,
             chunk_size=args.chunk_size,
             concurrency=args.workers,
             on_incomplete=args.on_incomplete,
@@ -567,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--no-bdd", action="store_true",
                        help="disable the shared Suggest+ BDD cache")
-    batch.add_argument("--no-memoize", action="store_true",
-                       help="disable validated-pattern memoization")
     batch.add_argument(
         "--progress", action="store_true",
         help="print live heartbeat lines to stderr while monitoring "

@@ -78,9 +78,12 @@ class ChaseOutcome:
     ``fired`` — the same run expanded to one ``(rule, master_row, batch)``
     per guard-passing row, in order (built on access, for provenance and
     tests; :meth:`first_fired` is the per-rule view a fix needs);
-    ``reads`` — every ``(Xm, key)`` the chase probed, its complete master
-    read footprint (excluded from ``==``, so outcomes still compare equal
-    across backends).
+    ``reads`` — every ``(Xm, key)`` in the chase's line table (the lines
+    it probed, plus any it was handed), its complete master read
+    footprint (excluded from ``==``, so outcomes still compare equal
+    across backends); :func:`~repro.analysis.consistency.check_pattern`
+    unions it into ``PatternCheck.reads``, the footprint the region guard
+    files a region-build check under.
     """
 
     unique: bool
@@ -219,6 +222,7 @@ def chase(
     z0: Iterable,
     rules: Sequence,
     master,
+    read: dict = None,
 ) -> ChaseOutcome:
     """Chase one start point and decide unique-fix existence.
 
@@ -236,6 +240,11 @@ def chase(
         (adapted on entry); every master access is a keyed probe.  Σ is a
         :class:`~repro.core.program.RuleProgram` or a plain rule list,
         compiled on entry; callers that chase in a loop compile once.
+    read:
+        Optional ``{(Xm, key): rows}`` table of master lines already read
+        from the same master state.  The chase probes only the lines it
+        lacks and adds them; :class:`~repro.repair.certainfix.CertainFix`
+        shares one table across the chases of one monitored tuple.
 
     The chase runs on the compiled program.  The tuple is one positional
     value list (a row over the program's R is copied once, anything else
@@ -252,9 +261,10 @@ def chase(
     reads all their keys with one
     :meth:`~repro.engine.store.MasterStore.probe_batch` call (a remote
     store sends that step's cache misses in one request).  Each distinct
-    ``(Xm, key)`` is read at most once per chase and copied to a tuple
-    once, which every rule probing that line shares; the set of lines is
-    the outcome's ``reads`` — the footprint delta-aware caches purge by
+    ``(Xm, key)`` is read at most once per *read* table and copied to a
+    tuple once, which every rule probing that line shares; the set of
+    lines in the table is the outcome's ``reads`` — the footprint the
+    region guard re-verifies build checks by
     (:mod:`repro.repair.invalidation`).  In the step a rule is examined,
     one walk over its read keeps the guard-passing rows and their
     distinct ``Bm`` values (``tm.values`` at ``Bm``'s position; first row
@@ -293,7 +303,8 @@ def chase(
     # mismatch or unknown key) for step (g), and ``read`` makes every
     # (attrs, key) one read per chase.
     kept: list = [None] * len(plans)
-    read: dict = {}
+    if read is None:
+        read = {}
 
     while ready:
         step: list = []

@@ -16,8 +16,8 @@ masters are in-memory :class:`~repro.engine.relation.Relation` objects:
 
 Both expose a monotonic :attr:`MasterStore.version` counter bumped by every
 ``insert`` / ``delete`` / ``update`` of a master tuple.  The repair engines
-stamp their shared caches (certain regions, Suggest⁺ BDD, validated-pattern
-memos) with the version they were built against and rebuild lazily when it
+stamp their shared caches (certain regions, Suggest⁺ BDD, pattern probes)
+with the version they were built against and rebuild lazily when it
 moves — incremental master updates therefore invalidate exactly the state
 the paper says is reusable only "as long as Σ and Dm are unchanged".
 

@@ -38,7 +38,7 @@ _dataset_cache: dict = {}
 
 
 def load_dataset(config: ExperimentConfig):
-    """Build (and memoize) the master data bundle for a config."""
+    """Build (and cache) the master data bundle for a config."""
     key = (config.dataset, config.master_size, config.seed)
     bundle = _dataset_cache.get(key)
     if bundle is None:

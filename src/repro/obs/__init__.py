@@ -20,7 +20,7 @@ Enable-before-build: long-lived engines read the global registry when they
 record, so ``enable()`` takes effect immediately, even for engines built
 earlier.  Process-pool workers each record into their *own* process's
 registry, and nothing ships those series back: the parent's registry sees
-only what the parent recorded.  A batch run's counters (memo hits, delta
+only what the parent recorded.  A batch run's counters (BDD hits, delta
 purges, region rebuilds) reach the parent through its ``BatchReport``
 instead; bringing worker spans back is ROADMAP item 3.
 
@@ -35,7 +35,6 @@ repro_sessions_total                  counter    completed=true|false        ses
 repro_rounds_total                    counter    —                           interaction rounds across all sessions
 repro_region_precompute_seconds       histogram  —                           ``CompCRegion`` span (per shared precompute)
 repro_bdd_build_seconds               histogram  —                           Suggest⁺ BDD miss span (fresh suggestion + append)
-repro_chase_memo_total                counter    result=hit|miss             batch chase memo lookups
 repro_cache_invalidations_total       counter    —                           master-version moves reconciling shared caches
 repro_store_delta_purge_total         counter    —                           version moves resolved by per-key delta purges
 repro_store_full_drop_total           counter    —                           version moves falling back to the full cache drop

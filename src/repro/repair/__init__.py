@@ -12,8 +12,8 @@
 * :mod:`repro.repair.bdd` — the BDD suggestion cache behind Suggest⁺.
 * :mod:`repro.repair.certainfix` — algorithm CertainFix / CertainFix⁺
   (Fig. 3): the interactive driver gluing everything together.
-* :mod:`repro.repair.batch` — the bulk layer: shared caches,
-  validated-pattern memoization and chunked/concurrent streams.
+* :mod:`repro.repair.batch` — the bulk layer: shared regions and BDD,
+  chunked streams, the process pool and run reports.
 """
 
 from repro.repair.batch import (

@@ -8,18 +8,16 @@ adds the throughput layer on top of :class:`repro.repair.certainfix.CertainFix`:
 * **shared precomputation** — certain regions, master hash indexes and the
   BDD suggestion cache are built once per ``(Σ, Dm)`` and reused by every
   session ("computed once and repeatedly used as long as Σ and Dm are
-  unchanged");
-* **validated-pattern memoization** — the unique-fix chase, and the fix
-  read off it, depend only on the *validated pattern* ``(Z', t[Z'])``
-  (every rule it may fire has its premise inside ``Z'`` and master data is
-  fixed), so identical dirty shapes skip re-validation entirely;
+  unchanged").  These are the only state kept across tuples: every round
+  chases its validated pattern against the live master, as
+  :meth:`CertainFix.fix_stream` does;
 * **versioned invalidation** — masters are reached through the
   :class:`~repro.engine.store.MasterStore` seam; every shared structure
-  (regions, master indexes, the BDD, the memo table) is stamped with the
-  store version it was built against, and an ``insert``/``delete``/
-  ``update`` of a master tuple moves the version so all of them rebuild
-  lazily before the next monitored tuple — incremental master updates can
-  no longer poison the shared caches;
+  (regions, master indexes, the BDD) is stamped with the store version it
+  was built against, and an ``insert``/``delete``/``update`` of a master
+  tuple moves the version so all of them are reconciled before the next
+  monitored tuple — incremental master updates can no longer poison the
+  shared caches;
 * **chunked execution** — the input stream is consumed in bounded chunks
   (generators welcome: CSV ingestion never materializes the workload).
   One run loop serves both ways a chunk is monitored: inline on the
@@ -39,7 +37,7 @@ threads overlap neither the compute nor the wire.  An engine therefore runs
 on one thread, and ``concurrency > 1`` buys real cores with a process pool.
 The pool ships a picklable :class:`EngineSpec` to each worker once (pool
 initializer), where it is rehydrated — certain regions, master indexes and
-the memo table are rebuilt per worker — so expect a per-worker warm-up cost
+the BDD are rebuilt per worker — so expect a per-worker warm-up cost
 that pays off on streams much longer than ``workers × chunk_size``.
 
 Every worker must monitor against exactly the parent's master, and a live
@@ -73,24 +71,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from repro import obs
 from repro.engine.csvio import stream_rows_from_csv
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
 from repro.engine.store import StoreError, as_master_store
-from repro.engine.tuples import Row
 from repro.obs import count_fixes_by_rule, session_provenance
 from repro.repair.certainfix import CertainFix, IncompleteFix
-from repro.repair.invalidation import FootprintIndex
 from repro.repair.oracle import SimulatedUser
-from repro.repair.transfix import TransFixResult
 
-#: Memo lookup sentinel: ``None`` is a stored value (a non-unique chase).
-_ABSENT = object()
 
 @dataclass
 class MemoStats:
-    """Hit/miss accounting for one validated-pattern memo table."""
+    """Hit/miss accounting for one memo table."""
 
     hits: int = 0
     misses: int = 0
@@ -111,12 +103,10 @@ class EngineCounters:
 
     Snapshots subtract into per-chunk deltas and add up into run totals,
     with the same arithmetic inline and in every process worker.
-    :meth:`_MemoCertainFix.counters` reads one off the engine's chase memo
-    stats, its BDD's hit/miss stats and its master-sync counters.
+    :func:`_counters` reads one off an engine's BDD hit/miss stats and its
+    master-sync counters.
     """
 
-    chase_hits: int = 0
-    chase_misses: int = 0
     suggestion_hits: int = 0
     suggestion_misses: int = 0
     cache_invalidations: int = 0
@@ -130,17 +120,21 @@ class EngineCounters:
     def __sub__(self, other: "EngineCounters") -> "EngineCounters":
         return EngineCounters(*map(operator.sub, _values(self), _values(other)))
 
-    def memo_row(self) -> dict:
-        """The memo counters, as the columns of a per-worker row."""
-        return {
-            "chase_hits": self.chase_hits,
-            "chase_misses": self.chase_misses,
-            "suggestion_hits": self.suggestion_hits,
-            "suggestion_misses": self.suggestion_misses,
-        }
-
 
 _values = operator.attrgetter(*(f.name for f in fields(EngineCounters)))
+
+
+def _counters(engine: CertainFix) -> EngineCounters:
+    """Snapshot of every counter a :class:`BatchReport` carries."""
+    bdd = engine.cache_stats
+    return EngineCounters(
+        suggestion_hits=bdd.hits if bdd is not None else 0,
+        suggestion_misses=bdd.misses if bdd is not None else 0,
+        cache_invalidations=engine.cache_invalidations,
+        delta_purges=engine.delta_purges,
+        full_drops=engine.full_drops,
+        region_rebuilds=engine.region_rebuilds,
+    )
 
 
 @dataclass
@@ -156,12 +150,12 @@ class BatchReport:
     chunk_size: int = 0
     workers: int = 1
     #: Per-worker breakdown of a process-pool run, keyed ``pid-<n>`` by
-    #: worker process: ``chunks``, ``tuples``, ``chase_hits``,
-    #: ``chase_misses``, ``suggestion_hits`` and ``suggestion_misses``,
-    #: each worker counting against its own caches.  Empty for inline
-    #: runs (``concurrency=1``).
+    #: worker process: ``chunks``, ``tuples``, ``suggestion_hits`` and
+    #: ``suggestion_misses``, each worker counting against its own BDD.
+    #: Empty for inline runs (``concurrency=1``).
     worker_stats: dict = field(default_factory=dict)
     regions_precomputed: int = 0
+    #: Always zero; the next benchmark change removes it and its reader.
     chase_memo: MemoStats = field(default_factory=MemoStats)
     #: Always zero; the next benchmark change removes it and its reader.
     transfix_memo: MemoStats = field(default_factory=MemoStats)
@@ -217,19 +211,12 @@ class BatchReport:
             "chunk_size": self.chunk_size,
             "workers": self.workers,
             "worker_stats": {
-                worker: dict(stats, chase_hit_rate=round(_rate(
-                    stats["chase_hits"], stats["chase_misses"]
-                ), 4))
+                worker: dict(stats)
                 for worker, stats in self.worker_stats.items()
             },
             "elapsed_s": round(self.elapsed, 6),
             "throughput_tps": round(self.throughput, 2),
             "regions_precomputed": self.regions_precomputed,
-            "chase_memo": {
-                "hits": self.chase_memo.hits,
-                "misses": self.chase_memo.misses,
-                "hit_rate": round(self.chase_memo.hit_rate, 4),
-            },
             "suggestion_cache": {
                 "hits": self.suggestion_hits,
                 "misses": self.suggestion_misses,
@@ -255,8 +242,6 @@ class BatchReport:
             f"{self.workers} worker(s))",
             f"rounds/tuple: {self.mean_rounds:.2f}  "
             f"completed: {self.completed}  incomplete: {self.incomplete}",
-            f"chase memo: {self.chase_memo.hit_rate:.0%} hit "
-            f"({self.chase_memo.hits}/{self.chase_memo.lookups})",
         ]
         if self.suggestion_hits or self.suggestion_misses:
             lines.append(
@@ -294,9 +279,7 @@ class BatchReport:
         for worker, stats in sorted(self.worker_stats.items()):
             lines.append(
                 f"  {worker}: {stats['tuples']} tuples in "
-                f"{stats['chunks']} chunk(s), chase "
-                f"{_rate(stats['chase_hits'], stats['chase_misses']):.0%} "
-                f"hit"
+                f"{stats['chunks']} chunk(s)"
             )
         return "\n".join(lines)
 
@@ -328,105 +311,6 @@ class BatchResult:
         return Relation(schema, self.final_rows)
 
 
-class _MemoCertainFix(CertainFix):
-    """CertainFix with each round's validated fix memoized per pattern.
-
-    Soundness: every rule the chase may fire has its premise ``X ∪ Xp``
-    inside the validated set ``Z'`` (and grows ``Z'`` only with
-    master-derived values), so its outcome — not unique, or unique with
-    the fix read off it — is a pure function of ``(Z', t[Z'])`` given
-    fixed ``(Σ, Dm)``: the memo key.  "Fixed" is enforced by
-    version-stamping: when the master store's version moves, the inherited
-    sync hook purges the memo along with the base engine's regions/BDD
-    caches.  A miss chases the live store through the inherited
-    :meth:`~CertainFix._chase` and, with delta invalidation on, files the
-    entry in a :class:`FootprintIndex` under the chase's own ``reads``, so
-    a journal delta purges exactly the entries whose chase probed a
-    changed row.
-    """
-
-    def __init__(self, *args, memoize: bool = True, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._memoize = memoize
-        # (Z', t[Z']) -> None (the chase is not unique) or the applied
-        # (rule, tm) pairs the fix is rebuilt from.
-        self._chase_memo: dict = {}
-        # Reverse index from master probe footprints to memo entries: a
-        # journal delta purges exactly the entries whose chase probed the
-        # changed row (see repro.repair.invalidation).
-        self._chase_footprints = FootprintIndex(self.store.schema)
-        #: Chase memo hits and misses over the engine's lifetime.
-        self.chase_stats = MemoStats()
-
-    def counters(self) -> EngineCounters:
-        """Snapshot of every counter a :class:`BatchReport` carries."""
-        bdd = self.cache_stats
-        return EngineCounters(
-            chase_hits=self.chase_stats.hits,
-            chase_misses=self.chase_stats.misses,
-            suggestion_hits=bdd.hits if bdd is not None else 0,
-            suggestion_misses=bdd.misses if bdd is not None else 0,
-            cache_invalidations=self.cache_invalidations,
-            delta_purges=self.delta_purges,
-            full_drops=self.full_drops,
-            region_rebuilds=self.region_rebuilds,
-        )
-
-    def _drop_master_caches(self) -> None:
-        super()._drop_master_caches()
-        self._chase_memo.clear()
-        self._chase_footprints.clear()
-
-    def _apply_master_deltas(self, deltas) -> bool:
-        if not super()._apply_master_deltas(deltas):
-            return False
-        # Purge soundness: an entry whose recorded probes all miss the
-        # changed rows recomputes along the identical probe path to the
-        # identical outcome, so only footprint hits need to go.  Every
-        # entry must carry a footprint for that argument to hold — if the
-        # table and index ever disagree (they should not), fall back to
-        # the drop.
-        if len(self._chase_memo) != len(self._chase_footprints):
-            return False
-        for key in self._chase_footprints.affected(
-            [delta.values for delta in deltas]
-        ):
-            self._chase_memo.pop(key, None)
-            self._chase_footprints.discard(key)
-        return True
-
-    def _memo_key(self, row: Row, validated: frozenset) -> tuple:
-        attrs = tuple(sorted(validated))
-        return attrs, row[attrs]
-
-    def _validated_fix(
-        self, row: Row, validated: frozenset
-    ) -> TransFixResult | None:
-        if not self._memoize:
-            return super()._validated_fix(row, validated)
-        key = self._memo_key(row, validated)
-        applied = self._chase_memo.get(key, _ABSENT)
-        if applied is not _ABSENT:
-            self.chase_stats.hits += 1
-            obs.inc("repro_chase_memo_total", result="hit")
-            if applied is None:
-                return None
-            return TransFixResult.from_chase(row, validated, applied)
-        self.chase_stats.misses += 1
-        obs.inc("repro_chase_memo_total", result="miss")
-        outcome = self._chase(row, validated)
-        result = (
-            TransFixResult.from_chase(row, validated, outcome.first_fired())
-            if outcome.unique else None
-        )
-        self._chase_memo[key] = (
-            None if result is None else tuple(result.applied)
-        )
-        if self._delta_invalidation:
-            self._chase_footprints.add(key, outcome.reads)
-        return result
-
-
 def _chunked(iterable: Iterable, size: int):
     iterator = iter(iterable)
     while True:
@@ -449,7 +333,7 @@ class EngineSpec:
     connections cannot cross a fork/spawn boundary, so the handle re-opens
     the database file in the worker, while an in-memory master ships its
     rows by value.  ``build()`` rehydrates the engine: certain regions,
-    master probe indexes and the memo table are rebuilt per worker against
+    master probe indexes and the BDD are rebuilt per worker against
     the reattached store's version stamp, so the parent's and every
     worker's caches sit on one shared version stream.
     """
@@ -458,15 +342,13 @@ class EngineSpec:
     schema: RelationSchema
     store_handle: object
     use_bdd: bool
-    memoize: bool
     engine_options: tuple  # sorted (name, value) pairs, picklable
 
-    def build(self) -> "_MemoCertainFix":
+    def build(self) -> CertainFix:
         store = self.store_handle.reattach()
-        engine = _MemoCertainFix(
+        engine = CertainFix(
             list(self.rules), store, self.schema,
-            use_bdd=self.use_bdd, memoize=self.memoize,
-            **dict(self.engine_options),
+            use_bdd=self.use_bdd, **dict(self.engine_options),
         )
         engine.regions  # noqa: B018 — precompute before the first chunk
         return engine
@@ -523,7 +405,7 @@ def _process_worker_chunk(task: tuple) -> tuple:
     seq, pairs, version, deltas = task
     engine = _WORKER_ENGINE
     store = engine.store
-    before = engine.counters()
+    before = _counters(engine)
     # Strictly newer only: tasks are dispatched through one FIFO queue, so
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
@@ -539,7 +421,7 @@ def _process_worker_chunk(task: tuple) -> tuple:
         warm_s = _warm_chunk_probes(engine, pairs)
     sessions = [engine.fix(row, oracle) for row, oracle in pairs]
     return (
-        f"pid-{os.getpid()}", sessions, engine.counters() - before, warm_s,
+        f"pid-{os.getpid()}", sessions, _counters(engine) - before, warm_s,
         store.version,
     )
 
@@ -559,12 +441,11 @@ class _Chunk(NamedTuple):
 
 
 def _hit_rates(totals: EngineCounters) -> dict:
-    rates = {"chase": _rate(totals.chase_hits, totals.chase_misses)}
-    if totals.suggestion_hits or totals.suggestion_misses:
-        rates["suggest"] = _rate(
-            totals.suggestion_hits, totals.suggestion_misses
-        )
-    return rates
+    if not (totals.suggestion_hits or totals.suggestion_misses):
+        return {}
+    return {
+        "suggest": _rate(totals.suggestion_hits, totals.suggestion_misses)
+    }
 
 
 class BatchRepairEngine:
@@ -587,9 +468,6 @@ class BatchRepairEngine:
     use_bdd:
         Share a Suggest⁺ BDD cache across all sessions (default on: this is
         the batch workload the cache was designed for).
-    memoize:
-        Reuse each round's chase outcome (and the fix read off it) across
-        tuples with the same validated pattern (default on).
     chunk_size:
         How many stream elements to pull per execution chunk.
     concurrency:
@@ -598,7 +476,7 @@ class BatchRepairEngine:
         chunks out to a pool of N worker processes, each rehydrating its
         own engine and caches from a picklable :class:`EngineSpec` (see
         the module docstring for why processes, not threads); the report
-        splits its memo counters per worker
+        splits its BDD counters per worker
         (``BatchReport.worker_stats``).  The pool requires rows and
         oracles to be picklable, and a sqlite master to be file-backed
         (``path=...``), since its handle is re-opened per worker.
@@ -634,7 +512,6 @@ class BatchRepairEngine:
         schema: RelationSchema,
         regions: list = None,
         use_bdd: bool = True,
-        memoize: bool = True,
         chunk_size: int = 256,
         concurrency: int = 1,
         mp_start_method: str = None,
@@ -671,12 +548,10 @@ class BatchRepairEngine:
         # rollup needs them, so the batch engine collects by default.
         engine_options.setdefault("collect_provenance", True)
         self._use_bdd = use_bdd
-        self._memoize = memoize
         self._engine_options = dict(engine_options)
-        self._engine = _MemoCertainFix(
+        self._engine = CertainFix(
             rules, master, schema,
-            regions=regions, use_bdd=use_bdd, memoize=memoize,
-            **engine_options,
+            regions=regions, use_bdd=use_bdd, **engine_options,
         )
         self._pool = None
         self._pool_version = None  # newest version every worker is known
@@ -712,7 +587,6 @@ class BatchRepairEngine:
             schema=self._engine.schema,
             store_handle=self._engine.store.detach(),
             use_bdd=self._use_bdd,
-            memoize=self._memoize,
             engine_options=tuple(sorted(self._engine_options.items())),
         )
 
@@ -862,11 +736,15 @@ class BatchRepairEngine:
             chunk_size=self.chunk_size,
             workers=self.concurrency,
             worker_stats={
-                label: {"chunks": n, "tuples": tuples, **counters.memo_row()}
+                label: {
+                    "chunks": n,
+                    "tuples": tuples,
+                    "suggestion_hits": counters.suggestion_hits,
+                    "suggestion_misses": counters.suggestion_misses,
+                }
                 for label, (n, tuples, counters) in workers.items()
             },
             regions_precomputed=len(self._engine.regions),
-            chase_memo=MemoStats(totals.chase_hits, totals.chase_misses),
             suggestion_hits=totals.suggestion_hits,
             suggestion_misses=totals.suggestion_misses,
             cache_invalidations=totals.cache_invalidations,
@@ -903,9 +781,9 @@ class BatchRepairEngine:
     def _monitor_inline(self, chunks):
         engine = self._engine
         for chunk in chunks:
-            before = engine.counters()
+            before = _counters(engine)
             sessions = [engine.fix(row, oracle) for row, oracle in chunk]
-            yield _Chunk(sessions, engine.counters() - before)
+            yield _Chunk(sessions, _counters(engine) - before)
 
     def _monitor_in_processes(self, chunks):
         """Fan chunks out to the worker processes; yield in stream order.

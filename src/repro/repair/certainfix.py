@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.core.fixes import ChaseOutcome, chase
+from repro.core.fixes import chase
 from repro.core.program import compile_rules
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
@@ -321,7 +321,7 @@ class CertainFix:
 
     def _drop_master_caches(self) -> None:
         """The historical full teardown: every derived cache rebuilds
-        lazily.  Subclasses extend this to cover their own caches."""
+        lazily."""
         self._regions = None
         self._region_guard = None
         self._pattern_cache.clear()
@@ -336,8 +336,7 @@ class CertainFix:
         row; BDD nodes are retained because ``_valid_for`` tests every
         rule it lets fire in a cached suggestion's closure against the
         live master (a rule it never tests cannot make S valid).
-        Subclasses extend this with footprint-indexed memo purges.  A
-        False return means the caller must fall back to
+        A False return means the caller must fall back to
         :meth:`_drop_master_caches`.
         """
         rows = [Row(self.store.schema, delta.values) for delta in deltas]
@@ -386,6 +385,10 @@ class CertainFix:
         )
         cursor = self._start_cursor()
         all_attrs = set(self.schema.attributes)
+        # Master lines read by this tuple's chases: the master version
+        # moves only between tuples, so a later round reuses the lines an
+        # earlier one read instead of probing them again.
+        lines: dict = {}
 
         for round_index in range(1, self.max_rounds + 1):
             started = time.perf_counter()
@@ -402,7 +405,7 @@ class CertainFix:
             asserted = frozenset(values)
             revisions = 0
 
-            result = self._validated_fix(row, validated | asserted)
+            result = self._validated_fix(row, validated | asserted, lines)
             while result is None:
                 revisions += 1
                 if revisions > self.max_revisions:
@@ -415,7 +418,9 @@ class CertainFix:
                 )
                 row = row.with_values(values)
                 asserted = asserted | frozenset(values)
-                result = self._validated_fix(row, validated | asserted)
+                result = self._validated_fix(
+                    row, validated | asserted, lines
+                )
 
             # Compare against the row as it stood when the round began, so
             # values changed during revision rounds count as corrections too
@@ -463,27 +468,23 @@ class CertainFix:
         session.validated = validated
         return session
 
-    # -- the round's fix (the batch engine memoizes it) -------------------------
+    # -- the round's fix --------------------------------------------------------
 
     def _validated_fix(
-        self, row: Row, validated: frozenset
+        self, row: Row, validated: frozenset, lines: dict
     ) -> TransFixResult | None:
         """The round's fix of ``t[Z']``, or ``None`` when it is not unique.
 
-        One Theorem 4 chase decides uniqueness and, when unique, already
-        holds TransFix's fixpoint (:meth:`TransFixResult.from_chase`).
+        One Theorem 4 chase of ``t[Z']`` against the master, on the
+        engine's compiled program, decides uniqueness and, when unique,
+        already holds TransFix's fixpoint
+        (:meth:`TransFixResult.from_chase`).  *lines* is the tuple's
+        table of master lines read so far (see :func:`chase`).
         """
-        outcome = self._chase(row, validated)
+        outcome = chase(row, validated, self._program, self.store, lines)
         if not outcome.unique:
             return None
         return TransFixResult.from_chase(row, validated, outcome.first_fired())
-
-    def _chase(self, row: Row, validated: frozenset) -> ChaseOutcome:
-        """The Theorem 4 chase of ``t[Z']`` against the live master, on
-        the engine's compiled program.  The outcome's ``reads`` are the
-        master footprint the batch engine's memo files the round's fix
-        under."""
-        return chase(row, validated, self._program, self.store)
 
     def _round_provenance(self, result, round_index: int) -> tuple:
         """One :class:`FixProvenance` per rule application of this round.

@@ -1,29 +1,25 @@
 """Delta-aware cache invalidation (the machinery behind surgical purges).
 
 One master mutation used to drop *every* version-stamped cache — regions,
-the Suggest⁺ BDD, the chase memo, pattern probes — costing 0.6–1.7s
-of rebuild per mutation at bench scale.  The :class:`~repro.engine.store`
-delta journal names exactly which rows changed, and every cached value
-knows what it read: its *read footprint*, every keyed probe ``(attrs,
-key)`` its computation made.  The Theorem 4 chase reads master data
-exclusively through keyed probes and reports them as
-``ChaseOutcome.reads``; ``check_pattern`` reports the union over its
-chases as ``PatternCheck.reads``.  So a chase-memo entry's footprint is
-its chase's reads and a region-build check's footprint is the check's
-reads — the complete master dependency set of either, which is what lets
-the region guard re-verify exactly the checks a mutated row touched
-instead of rejecting wholesale.  Full sweeps (iteration,
-``active_values``) are not footprints: the state they derive is guarded
-by other means (the region guard's active-value snapshot, the
-pattern-cache patcher).  This module turns deltas and footprints into
-per-key purges:
+the Suggest⁺ BDD, pattern probes — costing 0.6–1.7s of rebuild per
+mutation at bench scale.  The :class:`~repro.engine.store` delta journal
+names exactly which rows changed, and a region-build check knows what it
+read: its *read footprint*, every keyed probe ``(attrs, key)`` it made.
+The Theorem 4 chase reads master data exclusively through keyed probes
+and reports them as ``ChaseOutcome.reads``; ``check_pattern`` reports the
+union over its chases as ``PatternCheck.reads`` — the complete master
+dependency set of the check, which is what lets the region guard
+re-verify exactly the checks a mutated row touched instead of rejecting
+wholesale.  Full sweeps (iteration, ``active_values``) are not
+footprints: the state they derive is guarded by other means (the region
+guard's active-value snapshot, the pattern-cache patcher).  This module
+turns deltas and footprints into per-key decisions:
 
 * :class:`FootprintIndex` — a reverse index from probe footprints to the
-  derived state that performed them: chase-memo entries of the batch
-  engine and the region guard's pattern checks alike.  ``hits(values)``
-  names the recorded probe keys a mutated row projects onto, and
-  ``affected(rows)`` the entries behind them, in time proportional to the
-  number of distinct probed attribute lists, not the number of entries.
+  region guard's pattern checks that performed them.  ``hits(values)``
+  names the recorded probe keys a mutated row projects onto and the
+  checks behind them, in time proportional to the number of distinct
+  probed attribute lists, not the number of checks.
 * :class:`RegionGuard` — decides whether the precomputed certain regions
   survive a delta batch *unchanged*, for inserts, deletes and updates
   (which journal as delete+insert) alike.  It proves the fresh rebuild
@@ -42,9 +38,10 @@ per-key purges:
   re-verified by chasing exactly the new value combinations.  Anything
   it cannot prove falls back to a rebuild — the guard only ever skips
   work, never correctness.
-* :func:`row_supports_pattern` — the per-row body of the pattern-probe
-  sweep (``_pattern_holds_on_master``), used to patch cached rule
-  eligibility per delta instead of re-sweeping the master.
+* :func:`patch_pattern_cache` — applies the pattern-probe sweep's
+  per-row witness test (:func:`~repro.repair.suggest.pattern_witness`)
+  to each delta row, patching cached rule eligibility instead of
+  re-sweeping the master.
 
 Everything here is advisory: every consumer treats "cannot prove" as
 "fall back to the full drop", so the delta path yields fixes bit-identical
@@ -72,19 +69,20 @@ from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore
 from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
+from repro.repair.suggest import pattern_witness
 
 
 class FootprintIndex:
     """Reverse index: master probe footprints → dependent entries.
 
-    Entries register with :meth:`add` under an opaque key (a chase-memo
-    key, a region guard's ``(seed, check)`` position) and the footprint
-    the computation of the entry's value reported: a chase's
-    ``ChaseOutcome.reads``, a pattern check's ``PatternCheck.reads``.  :meth:`hits` projects a mutated row onto every distinct
-    probed attribute list and yields the recorded probe keys it matches;
-    the entries behind them are exactly those whose deterministic
-    recompute could observe the mutation.  Not thread-safe; callers hold
-    the owning engine's memo guard.
+    Entries register with :meth:`add` under an opaque key (the region
+    guard's ``(seed, check)`` position) and the footprint the computation
+    of the entry's value reported (a pattern check's
+    ``PatternCheck.reads``).  :meth:`hits` projects a mutated row onto
+    every distinct probed attribute list and yields the recorded probe
+    keys it matches; the entries behind them are exactly those whose
+    deterministic recompute could observe the mutation.  Not thread-safe:
+    it belongs to one engine, which runs on one thread.
     """
 
     def __init__(self, schema: RelationSchema):
@@ -137,59 +135,30 @@ class FootprintIndex:
             if entries:
                 yield attrs, key, entries
 
-    def affected(self, rows: Iterable) -> set:
-        """Entries whose recorded probes any of *rows* projects onto."""
-        out: set = set()
-        for values in rows:
-            for _attrs, _key, entries in self.hits(values):
-                out.update(entries)
-        return out
-
-    def clear(self) -> None:
-        self._by_probe.clear()
-        self._entries.clear()
-
-
-def row_supports_pattern(rule, row: Row) -> bool:
-    """Whether master row *row* witnesses *rule*'s pattern part.
-
-    The per-row body of ``_pattern_holds_on_master`` (condition (c) with
-    an empty validated key): with no pattern checks and no master guard
-    any row is a witness (the sweep degenerates to ``len(master) > 0``).
-    Used to patch per-rule pattern caches delta by delta.
-    """
-    checks = [
-        (rule.master_attr_of(attr), rule.pattern[attr])
-        for attr in rule.pattern.attrs
-        if attr in rule.lhs and not rule.pattern[attr].is_wildcard
-    ]
-    if not checks and not len(rule.master_guard):
-        return True
-    if not rule.master_guard.matches(row):
-        return False
-    return all(condition.matches(row[column]) for column, condition in checks)
-
 
 def patch_pattern_cache(cache: dict, rules: Sequence, deltas, rows) -> None:
     """Update a ``{rule: holds}`` pattern cache for a delta batch.
 
-    Mirrors what a fresh ``_pattern_holds_on_master`` sweep would answer:
-    an inserted witness flips a cached False to True; deleting a witness
-    of a cached True drops the entry (the remaining rows may or may not
-    still contain one — recompute lazily); every other combination leaves
-    the cached verdict exact.
+    Mirrors what a fresh ``_pattern_holds_on_master`` sweep would answer,
+    through the same per-row test (:func:`pattern_witness`): an inserted
+    witness flips a cached False to True; deleting a witness of a cached
+    True drops the entry (the remaining rows may or may not still contain
+    one — recompute lazily); every other combination leaves the cached
+    verdict exact.
     """
     for rule in rules:
         if rule not in cache:
             continue
+        witnesses = pattern_witness(rule)
         for delta, row in zip(deltas, rows):
             cached = cache.get(rule)
             if cached is None:
                 break  # dropped below; recomputed lazily on next use
+            witnessed = witnesses is None or witnesses(row)
             if delta.op == "insert":
-                if not cached and row_supports_pattern(rule, row):
+                if not cached and witnessed:
                     cache[rule] = True
-            elif cached and row_supports_pattern(rule, row):
+            elif cached and witnessed:
                 del cache[rule]
 
 

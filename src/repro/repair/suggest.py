@@ -54,22 +54,41 @@ class Suggestion:
         return bool(self.attrs)
 
 
-def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
-    """Condition (c) with an empty validated key: some master tuple matches
-    the pattern part ``tp[Xp ∩ X]`` through the rule's correspondence."""
+def pattern_witness(rule):
+    """Condition (c) with an empty validated key, per master row: the test
+    ``tm -> bool`` of whether *tm* passes the rule's master guard and
+    matches the pattern part ``tp[Xp ∩ X]`` through its correspondence,
+    or ``None`` when every row does (no pattern check, no guard).
+
+    The sweep (:func:`_pattern_holds_on_master`) and the delta patcher of
+    its cached verdicts
+    (:func:`~repro.repair.invalidation.patch_pattern_cache`) both decide
+    a row through this one test.
+    """
     checks = [
         (rule.master_attr_of(attr), rule.pattern[attr])
         for attr in rule.pattern.attrs
         if attr in rule.lhs and not rule.pattern[attr].is_wildcard
     ]
-    if not checks and not len(rule.master_guard):
+    guard = rule.master_guard
+    if not checks and not len(guard):
+        return None
+
+    def witnesses(tm) -> bool:
+        return guard.matches(tm) and all(
+            condition.matches(tm[column]) for column, condition in checks
+        )
+
+    return witnesses
+
+
+def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
+    """Condition (c) with an empty validated key: some master tuple is a
+    :func:`pattern_witness` of the rule."""
+    witnesses = pattern_witness(rule)
+    if witnesses is None:
         return len(master) > 0
-    for tm in master:
-        if not rule.master_guard.matches(tm):
-            continue
-        if all(condition.matches(tm[column]) for column, condition in checks):
-            return True
-    return False
+    return any(map(witnesses, master))
 
 
 def rule_survives(

@@ -50,8 +50,8 @@ class TransFixResult:
         *fired* is the chase's ``(rule, tm, batch)`` applications —
         ``ChaseOutcome.fired``, or its per-rule view
         ``ChaseOutcome.first_fired()``, which gives the same result — or
-        ``(rule, tm)`` pairs already reduced by this method, as the batch
-        memo stores them.  A unique chase ends in the one tuple every
+        ``(rule, tm)`` pairs already reduced by this method (its own
+        ``applied``).  A unique chase ends in the one tuple every
         maximal fix sequence reaches, so TransFix's sequence ends there
         too: ``applied`` keeps the first application per attribute in
         chase order, ``validated`` grows by exactly those attributes, and

@@ -1,4 +1,4 @@
-"""Batch repair engine: shared caches, memoization, determinism, reporting."""
+"""Batch repair engine: shared caches, determinism, reporting."""
 
 import io
 import re
@@ -84,93 +84,6 @@ def test_batch_matches_fix_stream_running_example(example):
     _assert_sessions_identical(result.sessions, stream_sessions)
     for session, (_, clean) in zip(result.sessions, workload):
         assert session.final == clean
-
-
-# -- memoization --------------------------------------------------------------
-
-
-def test_memo_hits_on_identical_dirty_shapes(hosp, hosp_dirty):
-    repeated = list(hosp_dirty) + list(hosp_dirty)
-    batch = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema)
-    result = batch.run_dirty(repeated)
-    report = result.report
-    # The second pass re-validates nothing: every round's validated fix
-    # comes from the validated-pattern memo.
-    assert report.chase_memo.hits >= report.chase_memo.misses
-    half = len(hosp_dirty)
-    for first, second in zip(result.sessions[:half], result.sessions[half:]):
-        assert first.final == second.final
-        assert first.validated == second.validated
-
-
-def test_memoized_sessions_equal_unmemoized(hosp, hosp_dirty):
-    plain = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                              use_bdd=False, memoize=False)
-    memo = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema,
-                             use_bdd=False, memoize=True)
-    r1 = plain.run(_pairs(hosp_dirty))
-    r2 = memo.run(_pairs(hosp_dirty))
-    _assert_sessions_identical(r2.sessions, r1.sessions)
-    assert r1.report.chase_memo.lookups == 0
-    assert r2.report.chase_memo.lookups > 0
-
-
-def test_one_memo_lookup_per_round_and_revision(hosp, hosp_dirty):
-    """Each round (and each revision) validates its pattern once, and that
-    one memo entry also carries the round's fix."""
-    from repro.core.regions import Region
-    from repro.core.rules import EditingRule
-    from repro.engine.schema import INT, RelationSchema
-    from repro.repair.oracle import LyingUser
-    from repro.repair.region_search import CertainRegionCandidate
-
-    # A lie on b reaches master tuples that disagree on c, so every tuple
-    # needs one revision; repeats hit the memoized non-unique verdict.
-    schema = RelationSchema("R", [(a, INT) for a in "abc"])
-    master = Relation(RelationSchema("Rm", [(a, INT) for a in "wxy"]),
-                      [(1, 5, 7), (2, 5, 8)])
-    rules = [
-        EditingRule(("a",), ("w",), "c", "y", name="r1"),
-        EditingRule(("b",), ("x",), "c", "y", name="r2"),
-    ]
-    region = CertainRegionCandidate(
-        region=Region(("a", "b")), quality=1.0,
-        patterns_checked=1, patterns_valid=1,
-    )
-    clean = Row(schema, [1, 6, 7])
-    runs = [
-        BatchRepairEngine(rules, master, schema, regions=[region],
-                          use_bdd=False)
-        .run([(Row(schema, [1, 5, 0]), LyingUser(clean)) for _ in range(3)]),
-        BatchRepairEngine(hosp.rules, hosp.master, hosp.schema)
-        .run_dirty(list(hosp_dirty) + list(hosp_dirty)),
-    ]
-    for result in runs:
-        report = result.report
-        revisions = sum(
-            r.revisions for session in result.sessions
-            for r in session.rounds
-        )
-        assert report.chase_memo.lookups == report.rounds + revisions
-        assert report.transfix_memo.lookups == 0
-        assert report.chase_memo.hits > 0
-    assert [s.final for s in runs[0].sessions] == [clean] * 3
-    assert runs[0].report.chase_memo.lookups == 6  # 3 rounds + 3 revisions
-
-
-def test_memo_hit_rebuilds_the_result_its_miss_stored(hosp, hosp_dirty):
-    engine = BatchRepairEngine(hosp.rules, hosp.master, hosp.schema).engine
-    validated = frozenset(engine.initial_region.region.attrs)
-    unique = 0
-    for dt in hosp_dirty:
-        row = dt.dirty.with_values({a: dt.clean[a] for a in validated})
-        hits = engine.chase_stats.hits
-        miss = engine._validated_fix(row, validated)
-        hit = engine._validated_fix(row, validated)
-        assert engine.chase_stats.hits == hits + 1
-        assert hit == miss
-        unique += miss is not None
-    assert unique > 0
 
 
 # -- chunked / streaming execution -------------------------------------------
@@ -333,10 +246,12 @@ def test_reports_are_per_run_deltas(hosp, hosp_dirty):
     first = batch.run_dirty(hosp_dirty).report
     second = batch.run_dirty(hosp_dirty).report
     assert second.tuples == first.tuples
-    # Second run reuses the warmed shared caches but reports only its own
-    # lookups; a fully-warmed run is all hits.
-    assert second.chase_memo.misses == 0
-    assert second.chase_memo.lookups <= first.chase_memo.lookups
+    # The second run reuses the BDD the first one grew but reports only
+    # its own lookups: as many as the first run made, and all hits.
+    first_lookups = first.suggestion_hits + first.suggestion_misses
+    assert first.suggestion_misses > 0
+    assert second.suggestion_hits + second.suggestion_misses == first_lookups
+    assert second.suggestion_misses == 0
 
 
 def test_memo_stats_arithmetic():

@@ -69,9 +69,10 @@ def test_process_matches_sequential_hosp(hosp, hosp_dirty):
     assert all(label.startswith("pid-") for label in report.worker_stats)
     assert sum(s["tuples"] for s in report.worker_stats.values()) \
         == len(hosp_dirty)
+    # Without the BDD no worker looks a suggestion up.
     payload = report.to_dict()
     for stats in payload["worker_stats"].values():
-        assert 0.0 <= stats["chase_hit_rate"] <= 1.0
+        assert stats["suggestion_hits"] == stats["suggestion_misses"] == 0
 
 
 def test_inline_and_process_reports_have_one_shape(hosp, hosp_dirty):
@@ -85,15 +86,15 @@ def test_inline_and_process_reports_have_one_shape(hosp, hosp_dirty):
     assert inline["worker_stats"] == {}
     rows = process["worker_stats"].values()
     assert rows and all(
-        set(row) == {"chunks", "tuples", "chase_hits", "chase_misses",
-                     "suggestion_hits", "suggestion_misses",
-                     "chase_hit_rate"}
+        set(row) == {"chunks", "tuples", "suggestion_hits",
+                     "suggestion_misses"}
         for row in rows
     )
     assert sum(row["tuples"] for row in rows) == len(hosp_dirty)
-    # Per-worker memo counters add up to the run totals.
-    assert sum(row["chase_hits"] for row in rows) \
-        == process["chase_memo"]["hits"]
+    # Per-worker BDD counters add up to the run totals.
+    assert process["suggestion_cache"]["hits"] > 0
+    assert sum(row["suggestion_hits"] for row in rows) \
+        == process["suggestion_cache"]["hits"]
     assert sum(row["suggestion_misses"] for row in rows) \
         == process["suggestion_cache"]["misses"]
 

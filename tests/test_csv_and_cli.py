@@ -319,7 +319,7 @@ def test_cli_batch_repair_progress_heartbeats(tmp_path, capsys, hosp):
     assert f"/{len(data.tuples)} tuples" in heartbeats[0]
     assert "tuples/s" in heartbeats[0]
     assert "done in" in heartbeats[-1]
-    assert any("chase" in line for line in heartbeats)
+    assert any("suggest" in line for line in heartbeats)
 
 
 def test_cli_metrics_scrapes_live_server(capsys, small_relation):

@@ -1,8 +1,8 @@
-"""FootprintIndex: the one reverse index behind every master-delta purge.
+"""FootprintIndex: the region guard's reverse index from master probe
+footprints to its pattern checks.
 
-The batch engine's chase memo and the region guard's pattern checks both
-register their recorded probe footprints here and ask, per delta row,
-which entries the row could invalidate.
+The guard registers each check's recorded probe footprint here and asks,
+per delta row, which checks the row could invalidate.
 """
 
 from repro.engine.schema import RelationSchema
@@ -18,23 +18,28 @@ def _index(**entries) -> FootprintIndex:
     return index
 
 
+def _owners(index: FootprintIndex, values) -> set:
+    """Every entry behind a recorded probe key *values* projects onto."""
+    return {e for _, _, entries in index.hits(values) for e in entries}
+
+
 def test_add_replaces_an_entrys_footprints():
     index = _index(e=[(("a",), (1,))])
     index.add("e", [(("a",), (2,))])
     assert len(index) == 1
-    assert index.affected([(1, 0, 0)]) == set()
-    assert index.affected([(2, 0, 0)]) == {"e"}
+    assert _owners(index, (1, 0, 0)) == set()
+    assert _owners(index, (2, 0, 0)) == {"e"}
 
 
 def test_discard_removes_an_entry():
     index = _index(e=[(("a",), (1,))], f=[(("a",), (1,))])
     index.discard("e")
     assert len(index) == 1
-    assert index.affected([(1, 0, 0)]) == {"f"}
+    assert _owners(index, (1, 0, 0)) == {"f"}
     index.discard("f")
     index.discard("f")  # absent: a no-op
     assert len(index) == 0
-    assert index.affected([(1, 0, 0)]) == set()
+    assert _owners(index, (1, 0, 0)) == set()
 
 
 def test_hits_over_single_and_multi_column_probes():
@@ -57,18 +62,3 @@ def test_hits_over_single_and_multi_column_probes():
         (attrs, key) for attrs, key, _ in index.hits((1, 2, 4))
     ] == [(("a",), (1,))]
     assert list(index.hits((5, 5, 5))) == []
-
-
-def test_affected_is_the_union_of_hits():
-    index = _index(
-        e=[(("a",), (1,))],
-        f=[(("b", "c"), (2, 3))],
-        g=[(("a",), (7,)), (("b", "c"), (8, 8))],
-    )
-    rows = [(1, 0, 0), (0, 2, 3), (0, 8, 8), (4, 4, 4)]
-    union = set()
-    for row in rows:
-        for _attrs, _key, entries in index.hits(row):
-            union |= entries
-    assert index.affected(rows) == union == {"e", "f", "g"}
-

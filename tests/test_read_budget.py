@@ -18,7 +18,7 @@ from repro.repair.batch import BatchRepairEngine
 from repro.repair.oracle import SimulatedUser
 
 #: Keyed reads over the 300-tuple prefix, as measured.
-READ_BUDGET = {"hosp": 6_609, "dblp": 5_253}
+READ_BUDGET = {"hosp": 4_003, "dblp": 3_596}
 
 
 def _bundle(name):

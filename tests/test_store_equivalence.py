@@ -131,8 +131,8 @@ def _tiny_bundle():
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_master_update_changes_subsequent_fixes(backend):
-    """Without versioned invalidation the memoized TransFix outcome would
-    keep serving the stale master value; the engine must notice the update
+    """Without versioned invalidation a cached region or suggestion would
+    keep serving the stale master state; the engine must notice the update
     and fix against the new master."""
     schema, rules, rows = _tiny_bundle()
     if backend == "memory":
