@@ -8,14 +8,15 @@ sources this way — see PAPERS.md).  This module makes that deployment real
 over the :class:`~repro.engine.store.MasterStore` seam, pure stdlib:
 
 * :class:`MasterServer` exposes *any* existing store (memory or sqlite)
-  over HTTP/JSON — ``/probe_many``, ``/active_values``, ``/rows``,
-  ``/version`` plus versioned ``/insert`` / ``/delete`` / ``/update`` —
-  via ``python -m repro serve-master``;
+  over HTTP/JSON — ``/probe_many``, ``/keys``, ``/active_values``,
+  ``/rows``, ``/version`` plus versioned ``/insert`` / ``/delete`` /
+  ``/update`` — via ``python -m repro serve-master``;
 * :class:`RemoteStore` implements the full ``MasterStore`` ABC as a
-  read-through client: an LRU probe cache stamped with the server's
-  version, one keyed read ``probe_batch`` (every cache miss of one call in
-  a single ``/probe_many`` request; ``probe``, ``probe_ref`` and
-  ``probe_many`` derive from it) to amortize round-trips, and
+  read-through client: a key directory and an LRU probe cache, both
+  stamped with the server's version, one keyed read ``probe_batch``
+  (every cache miss of one call in a single ``/probe_many`` request;
+  ``probe``, ``probe_ref`` and ``probe_many`` derive from it) to amortize
+  round-trips, and
   ``detach()`` / ``reattach()`` so process-pool workers each open their
   own connection.  A worker catches up with the parent's stamp through
   ``adopt_deltas``, which runs the same ``/deltas`` reconciliation as
@@ -37,6 +38,24 @@ optionally re-polls ``/version`` on :attr:`RemoteStore.version` reads
 (``0.0`` = every read; ``None`` = piggyback only, the default — right when
 all mutations flow through this client or between-run staleness is
 acceptable).
+
+**Key directory**: CertainFix reads ``Dm`` only through keyed probes on
+``Xm`` (Sect. 5.1's hash table), and most keys a dirty stream probes are
+absent from the master — on DBLP about nine distinct probe lines in ten.
+The LRU cannot help with those (each is seen once, then evicts a useful
+line), so the client keeps, per probed attribute list, the set of keys the
+master holds, fetched by one ``POST /keys`` the first time ``probe_batch``
+meets that list.  A key the directory lacks resolves to "no match" with
+no round trip.  The directory is a *superset* of the server's keys at the
+client's stamp: it is installed only when the ``/keys`` reply's version
+equals the stamp (the LRU's own rule for a line), each reconciled insert
+adds the row's projection, deletes remove nothing (a dead key costs only a
+wire trip, answered empty), and the full cache drop clears it with the
+LRU, so the next probe of each list fetches it again.  Client memory is
+O(distinct master keys per probed list) — bounded by ``Dm``, not by the
+stream.  Because it shares the LRU's stamp, it shares the LRU's known hole
+too: a server restarted at the same version number with other rows is
+not noticed (ROADMAP item 1), and that fix must clear both.
 
 **Wire format**: values cross the wire in the sqlite backend's tagged
 codec (`repro.engine.store._encode`), which reproduces Python's equality
@@ -114,6 +133,16 @@ def _wire_key(key: tuple):
         return _encode_values(key)
     except TypeError:
         return None
+
+
+def _vouched(key: tuple) -> bool:
+    """Whether the key directory may answer for *key* being absent.
+
+    Not for a key holding NaN: it never equals a directory entry, yet a
+    sqlite-backed server matches it on its encoded cell.  The server
+    decides such a key, as it did before the directory.
+    """
+    return all(value == value for value in key)
 
 
 def _decode_row(schema: RelationSchema, cells: list) -> Row:
@@ -413,6 +442,7 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 — stdlib naming
         self._dispatch({
             "/probe_many": self._post_probe_many,
+            "/keys": self._post_keys,
             "/active_values": self._post_active_values,
             "/ensure_index": self._post_ensure_index,
             "/insert": self._post_insert,
@@ -456,6 +486,21 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
                 [_encode_values(r.values) for r in rows] for rows in results
             ],
         }
+
+    def _post_keys(self, query, payload) -> dict:
+        """``POST /keys``: ``{"attrs": [...]}`` -> ``{"keys": [key, ...]}``.
+
+        Every distinct key the master holds on that attribute list, in
+        the wire codec: the client's key directory.  Runs under the store
+        lock like every route, so the piggybacked version is the read
+        point of the list.  A key holding a value the codec refuses is
+        left out; the client resolves such probe keys locally anyway.
+        """
+        store = self.server.store
+        positions = [store.schema.index_of(attr) for attr in payload["attrs"]]
+        keys = {tuple(row.values[i] for i in positions) for row in store}
+        encoded = (_wire_key(key) for key in keys)
+        return {"keys": [key for key in encoded if key is not None]}
 
     def _post_active_values(self, query, payload) -> dict:
         values = self.server.store.active_values(payload["attr"])
@@ -587,14 +632,30 @@ class RemoteStore(MasterStore):
 
     Every keyed read goes through ``probe_batch`` (the chase's one read
     per step; a single ``probe`` is a one-pair batch), so there is one
-    miss path: LRU hits are answered locally and every miss of the call,
-    over any mix of attribute lists, crosses in one
-    ``POST /probe_many`` with body ``{"probes": [[attrs, key], ...]}``
-    (keys in the wire codec; unstorable keys resolve to "no match"
-    locally and never travel or cache).  The reply is
-    ``{"count": n, "results": [rows, ...]}`` in request order; a count
-    or length that disagrees with the request raises
-    :class:`~repro.engine.store.StoreProtocolError` and caches nothing.
+    miss path.  First the key directory: the first time a call meets an
+    attribute list, one ``POST /keys`` fetches every key the master
+    holds on it, and a key absent from that set is answered ``()``
+    locally (counted as ``absent``, neither an LRU hit nor a miss).  Then
+    the LRU: hits are answered locally and every miss of the call, over
+    any mix of attribute lists, crosses in one ``POST /probe_many`` with
+    body ``{"probes": [[attrs, key], ...]}`` (keys in the wire codec;
+    unstorable keys resolve to "no match" locally and never travel or
+    cache).  The reply is ``{"count": n, "results": [rows, ...]}`` in
+    request order; a count or length that disagrees with the request
+    raises :class:`~repro.engine.store.StoreProtocolError` and caches
+    nothing.
+
+    The directory must never lack a key the server holds at this
+    client's stamp, or a probe would miss a master row.  So it is
+    installed only when the ``/keys`` reply's version equals the stamp,
+    every reconciled insert adds the row's projection to each list,
+    deletes remove nothing (the superset keeps the dead key, whose probe
+    then crosses the wire and caches ``()``), and a full cache drop
+    clears it together with the LRU, to be fetched again on the next
+    probe of each list.  It holds O(distinct keys per probed list),
+    bounded by the master rather than by the stream.  It shares the
+    LRU's stamp and so its blind spot: a server restarted at the same
+    version with other rows goes unnoticed by both (ROADMAP item 1).
 
     The single keep-alive connection is serialized behind a lock
     (callers sharing one client may call it from several threads);
@@ -656,6 +717,12 @@ class RemoteStore(MasterStore):
         self._last_poll = 0.0
         self._active_cache: dict = {}
         self._len_cache = None
+        # Key directory: attrs -> every key the master holds on them at
+        # ``_version`` (a superset once deletes land).  Cleared in place,
+        # never rebound: probe_batch holds one reference across its
+        # ``/keys`` fetches.
+        self._directory: dict = {}
+        self._absent = 0
         self._requests = 0
         self._reconnects = 0
         self._invalidations = 0
@@ -856,6 +923,7 @@ class RemoteStore(MasterStore):
                 return
         self.full_drops += 1
         self._probe_cache.clear()
+        self._directory.clear()
         self._active_cache.clear()
         self._len_cache = None
         self._version = max(version, since)
@@ -868,6 +936,8 @@ class RemoteStore(MasterStore):
         if delta.op == "insert":
             for attr, values in self._active_cache.items():
                 values.add(row[attr])
+            for attrs, keys in self._directory.items():
+                keys.add(tuple(row[a] for a in attrs))
             if self._len_cache is not None:
                 self._len_cache += 1
         else:
@@ -963,15 +1033,27 @@ class RemoteStore(MasterStore):
                       {"attrs": list(tuple(attrs))})
 
     def probe_batch(self, probes: Iterable) -> list:
-        """LRU hits served locally; every miss in one ``/probe_many``."""
+        """Keys absent from the directory and LRU hits served locally;
+        every other miss in one ``/probe_many``."""
         # Cache hits and round-trips share one span: the latency
         # distribution is supposed to show the hit/miss mix.
         with obs.time_block("repro_store_probe_seconds", backend="remote"):
+            lines = [_probe_pair(attrs, key) for attrs, key in probes]
+            directory = self._directory
+            for attrs in {attrs for attrs, _ in lines
+                          if attrs not in directory}:
+                self._fetch_keys(attrs)
             results: list = []
             pending: dict = {}  # (attrs, key) -> (encoded key, result slots)
             with self._cache_lock:
-                for attrs, key in probes:
-                    line = _probe_pair(attrs, key)
+                absent = 0
+                for line in lines:
+                    keys = directory.get(line[0])
+                    if (keys is not None and line[1] not in keys
+                            and _vouched(line[1])):
+                        absent += 1
+                        results.append(())
+                        continue
                     cached = self._probe_cache.get(line)
                     if cached is None:
                         # A miss is filled in from the reply; an
@@ -986,10 +1068,29 @@ class RemoteStore(MasterStore):
                                 pending[line] = (encoded, [len(results)])
                         cached = ()
                     results.append(cached)
+                self._absent += absent
                 self.probe_ref_calls += len(results)
             if pending:
                 self._fetch(pending, results)
             return results
+
+    def _fetch_keys(self, attrs: tuple) -> None:
+        """Install the master's keys on *attrs* if read at this stamp.
+
+        A reply read at another version is dropped, not patched: the
+        list's probes then take the LRU path, and the next call asks
+        again.  A reply from an older version may lack keys whose insert
+        deltas were reconciled before it arrived; one from a newer
+        version may lack a deleted key the LRU, still at this stamp,
+        answers rows for.
+        """
+        payload, observed = self._request(
+            "POST", "/keys", {"attrs": list(attrs)}
+        )
+        keys = {tuple(_decode(c) for c in key) for key in payload["keys"]}
+        with self._cache_lock:
+            if self._version == observed:
+                self._directory[attrs] = keys
 
     def _fetch(self, pending: dict, results: list) -> None:
         """Read the ``(attrs, key) -> (encoded key, slots)`` misses in one
@@ -1048,10 +1149,16 @@ class RemoteStore(MasterStore):
         return set(values)
 
     def probe_cache_info(self) -> dict:
-        """LRU accounting for the benchmark layer (sqlite-compatible)."""
+        """LRU accounting for the benchmark layer (sqlite-compatible),
+        plus the key directory's: ``absent`` probes it answered and the
+        ``directory_keys`` it holds."""
         with self._cache_lock:
             info = self._probe_cache.info()
             info["probe_ref_calls"] = self.probe_ref_calls
+            info["absent"] = self._absent
+            info["directory_keys"] = sum(
+                len(keys) for keys in self._directory.values()
+            )
             return info
 
     def connection_info(self) -> dict:

@@ -240,6 +240,8 @@ class CertainFix:
         # by identity: equal-but-distinct duplicates must keep their own
         # indices, and TransFix applies exactly these objects.
         self._rule_index = {id(rule): i for i, rule in enumerate(self.rules)}
+        # Attribute positions in R, for the per-round correction diff.
+        self._position = {a: i for i, a in enumerate(schema.attributes)}
         # Force master indexes for every rule key up front so the first
         # monitored tuple does not pay index-build latency.
         for rule in self.rules:
@@ -425,9 +427,11 @@ class CertainFix:
             # Compare against the row as it stood when the round began, so
             # values changed during revision rounds count as corrections too
             # (Fig. 10/11 metrics must not credit them to the rules).
-            corrected = tuple(
-                sorted(a for a in asserted if row[a] != row_before[a])
-            )
+            now, before = row.values, row_before.values
+            position = self._position
+            corrected = tuple(sorted(
+                a for a in asserted if now[position[a]] != before[position[a]]
+            ))
             row = result.row
             validated = result.validated
             provenance = (

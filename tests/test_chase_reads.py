@@ -3,7 +3,8 @@
 Each chase step reads every rule key it needs with one ``probe_batch``
 call, a ``(Xm, key)`` pair is read at most once per chase, and the step
 (g) post-pass reuses the rows the steps kept.  On a remote master that
-means one request per step that had cache misses.  Chase *outcomes* are
+means one request per step that had cache misses on keys the master
+holds.  Chase *outcomes* are
 cross-validated against the order-exploring chase in
 ``tests/test_chase_explorer.py`` and ``tests/test_property_based.py``.
 """
@@ -77,46 +78,73 @@ def dblp_server(dblp):
         yield server
 
 
+def _log_endpoints(client) -> list:
+    """Record the endpoint of every request *client* sends from now on."""
+    sent: list = []
+    request = client._request
+
+    def logging(method, path, payload=None, idempotent=True):
+        sent.append(path.split("?", 1)[0])
+        return request(method, path, payload, idempotent)
+
+    client._request = logging
+    return sent
+
+
 def test_cold_remote_chase_sends_one_request_per_step(
     dblp, dblp_dirty, dblp_server
 ):
+    """A cold client sends one ``/probe_many`` per step that reads a key
+    the master holds, none for a step whose keys are all absent (the key
+    directory answers them), and one ``/keys`` per attribute list the
+    first time a step reads it."""
     keys_per_request = []
     for t, z0 in _start_points(dblp, dblp_dirty, regions=2):
         client = RemoteStore(dblp_server.url, schema=dblp.master.schema)
+        sent = _log_endpoints(client)
         steps: list = []
         batched = client.probe_batch
 
         def counting(probes, steps=steps, batched=batched):
             probes = list(probes)
-            steps.append(len(probes))
-            return batched(probes)
+            start = len(sent)
+            result = batched(probes)
+            steps.append((probes, sent[start:]))
+            return result
 
         client.probe_batch = counting
-        before = client.connection_info()["requests"]
         outcome = chase(t, z0, dblp.rules, client)
-        requests = client.connection_info()["requests"] - before
         client.close()
-        # Cold client: every step's keys are new, hence all misses.
-        assert requests == len(steps)
+        met: set = set()
+        for probes, endpoints in steps:
+            held = any(dblp.master.lookup(attrs, key) for attrs, key in probes)
+            assert endpoints.count("/probe_many") == int(held)
+            lists = {attrs for attrs, _ in probes}
+            assert endpoints.count("/keys") == len(lists - met)
+            assert len(endpoints) == int(held) + len(lists - met)
+            met |= lists
+            keys_per_request.append(len(probes))
         assert outcome == chase(t, z0, dblp.rules, dblp.master)
-        keys_per_request.extend(steps)
     assert max(keys_per_request) > 1
 
 
 def test_chunk_warmup_is_one_request(dblp, dblp_dirty, dblp_server):
-    """The process-pool chunk warm-up sends every rule key of the chunk in
-    one request instead of one per rule."""
+    """The process-pool chunk warm-up sends every rule key of the chunk
+    the master holds in one ``/probe_many`` instead of one per rule, after
+    one ``/keys`` per rule key list; absent keys never travel."""
 
     class Engine:
         rules = dblp.rules
         store = RemoteStore(dblp_server.url, schema=dblp.master.schema)
 
     pairs = [(dt.dirty, None) for dt in list(dblp_dirty)[:8]]
-    before = Engine.store.connection_info()["requests"]
+    sent = _log_endpoints(Engine.store)
     _warm_chunk_probes(Engine, pairs)
-    assert Engine.store.connection_info()["requests"] - before == 1
+    assert sent.count("/probe_many") == 1
+    assert sent.count("/keys") == len({rule.lhs_m for rule in dblp.rules})
     info = Engine.store.probe_cache_info()
     assert info["size"] == len({
         (rule.lhs_m, row[rule.lhs]) for rule in dblp.rules for row, _ in pairs
+        if dblp.master.lookup(rule.lhs_m, row[rule.lhs])
     })
     Engine.store.close()

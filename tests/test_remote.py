@@ -123,9 +123,11 @@ def test_server_side_mutation_invalidates_client_caches(served, schema):
     foreign_version = other.version
     other.close()
 
-    # a *cache miss* carries the new version back and invalidates every
-    # warm line, so the follow-up probe re-reads the server
-    client.probe(("k",), ("zzz",))
+    # a *cache miss* on a key the master holds (an absent key is
+    # answered by the key directory, without a round-trip) carries the
+    # new version back and invalidates every warm line, so the
+    # follow-up probe re-reads the server
+    client.probe(("k",), ("b",))
     assert client.version == foreign_version > v0
     assert client.probe_cache_info()["size"] <= 1  # warm lines dropped
     assert len(client.probe(("k",), ("a",))) == 3
@@ -151,6 +153,7 @@ def test_version_polling_observes_foreign_mutations(served, schema):
 
 def test_probe_many_batches_misses_into_one_request(served, rows):
     _, _, client = served
+    client.probe(("k",), ("c",))  # fetch the key directory of ("k",)
     requests_before = client.connection_info()["requests"]
     out = client.probe_many(("k",), [("a",), ("b",), ("zzz",), ("a",)])
     assert client.connection_info()["requests"] == requests_before + 1
@@ -160,6 +163,146 @@ def test_probe_many_batches_misses_into_one_request(served, rows):
     requests_before = client.connection_info()["requests"]
     assert client.probe(("k",), ("b",)) == (rows[1],)
     assert client.connection_info()["requests"] == requests_before
+
+
+# -- key directory -------------------------------------------------------------
+
+
+def _requests(client) -> int:
+    return client.connection_info()["requests"]
+
+
+def test_absent_key_is_answered_without_a_request(served):
+    """The first probe of an attribute list fetches its key directory;
+    afterwards a key the master lacks resolves to () locally, counted as
+    ``absent`` and as neither an LRU hit nor a miss."""
+    _, _, client = served
+    before = _requests(client)
+    assert len(client.probe(("k",), ("a",))) == 2
+    assert _requests(client) == before + 2  # POST /keys + POST /probe_many
+    info = client.probe_cache_info()
+    assert info["directory_keys"] == 3  # a, b, c
+    before = _requests(client)
+    assert client.probe(("k",), ("zzz",)) == ()
+    assert client.probe_batch([(("k",), ("q",)), (("k",), ("a",))]) == \
+        [(), client.probe(("k",), ("a",))]
+    assert _requests(client) == before
+    info = client.probe_cache_info()
+    assert info["absent"] == 2
+    assert (info["hits"], info["misses"]) == (2, 1)
+
+
+def test_key_inserted_by_this_client_is_probed(served, schema):
+    _, backing, client = served
+    assert client.probe(("k",), ("d",)) == ()  # absent: from the directory
+    row = Row(schema, ("d", "w", 5))
+    client.insert(row)
+    assert client.probe(("k",), ("d",)) == backing.probe(("k",), ("d",)) \
+        == (row,)
+    assert client.connection_info()["full_drops"] == 0
+
+
+def test_key_inserted_by_a_foreign_client_is_probed_after_a_poll(
+    served, schema
+):
+    """poll_interval=0: the version read an engine makes before each
+    tuple reconciles the foreign insert into the directory."""
+    server, backing, _ = served
+    polling = RemoteStore(server.url, schema=schema, poll_interval=0.0)
+    try:
+        assert polling.probe(("k",), ("d",)) == ()
+        other = RemoteStore(server.url, schema=schema)
+        row = Row(schema, ("d", "w", 5))
+        other.insert(row)
+        other.close()
+        polling.version  # noqa: B018 — the poll under test
+        assert polling.probe(("k",), ("d",)) == backing.probe(("k",), ("d",)) \
+            == (row,)
+        assert polling.connection_info()["delta_purges"] == 1
+    finally:
+        polling.close()
+
+
+def test_key_deleted_then_reinserted_is_probed(served, schema, rows):
+    """A delete leaves the dead key in the directory (its probe crosses
+    the wire and answers ()); the re-insert makes it live again."""
+    _, backing, client = served
+    assert client.probe(("k",), ("b",)) == (rows[1],)
+    assert client.delete(rows[1])
+    before = _requests(client)
+    assert client.probe(("k",), ("b",)) == backing.probe(("k",), ("b",)) \
+        == ()
+    assert _requests(client) == before + 1  # the dead key's wire trip
+    client.insert(rows[1])
+    assert client.probe(("k",), ("b",)) == backing.probe(("k",), ("b",)) \
+        == (rows[1],)
+
+
+def test_key_inserted_across_a_full_drop_is_probed(served, schema):
+    """A journal gap forces the full cache drop, which clears the
+    directory with the LRU; the next probe of the list fetches it again
+    and finds the key inserted meanwhile."""
+    server, backing, client = served
+    assert client.probe(("k",), ("d",)) == ()
+    backing.deltas_since = lambda version: None  # the journal cannot vouch
+    other = RemoteStore(server.url, schema=schema)
+    row = Row(schema, ("d", "w", 5))
+    other.insert(row)
+    other.close()
+    client.poll_version()
+    assert client.connection_info()["full_drops"] == 1
+    assert client.probe_cache_info()["directory_keys"] == 0
+    before = _requests(client)
+    assert client.probe(("k",), ("d",)) == backing.probe(("k",), ("d",)) \
+        == (row,)
+    assert _requests(client) == before + 2  # POST /keys + POST /probe_many
+
+
+def test_keys_reply_at_a_lagging_stamp_installs_nothing(served, rows):
+    """A /keys reply read at a version other than the client's may lack
+    keys the client's stamp holds: it is dropped, the probes take the
+    LRU path, and a later call fetches the directory again."""
+    _, _, client = served
+    real = client._request
+
+    def lagging(method, path, payload=None, idempotent=True):
+        body, version = real(method, path, payload, idempotent)
+        if path == "/keys":
+            version -= 1
+        return body, version
+
+    client._request = lagging
+    try:
+        assert client.probe(("k",), ("zzz",)) == ()
+        assert client.probe(("k",), ("b",)) == (rows[1],)
+        assert client.probe_cache_info()["directory_keys"] == 0
+        assert client.probe_cache_info()["absent"] == 0
+    finally:
+        del client._request
+    before = _requests(client)
+    assert client.probe(("k",), ("zzz",)) == ()
+    assert _requests(client) == before + 1  # only the /keys fetch
+    assert client.probe_cache_info()["directory_keys"] == 3
+    assert client.probe_cache_info()["absent"] == 1
+
+
+def test_nan_keys_are_left_to_the_server(tmp_path):
+    """A sqlite-backed server matches a NaN key on its encoded cell,
+    though NaN never equals a directory entry: the directory must not
+    answer for it."""
+    nan_schema = RelationSchema("m", ["k", "x"])
+    row = Row(nan_schema, ("a", float("nan")))
+    backing = SqliteStore(nan_schema, [row], path=tmp_path / "nan.db")
+    with MasterServer(backing) as server:
+        client = RemoteStore(server.url)
+        try:
+            assert client.probe(("x",), (1.5,)) == ()  # fetches the directory
+            nan_key = (float("nan"),)
+            assert len(backing.probe(("x",), nan_key)) == 1
+            assert len(client.probe(("x",), nan_key)) == 1
+        finally:
+            client.close()
+            backing.close()
 
 
 def test_client_reconnects_after_connection_drop(served, rows):
@@ -296,7 +439,9 @@ def test_client_follows_a_restarted_sqlite_server(tmp_path, schema, rows):
         new = old.with_values({"v": "new"})
         assert store.update(old, new)
         server = MasterServer(store, host=host, port=port).start()
-        client.probe(("k",), ("zz",))  # any miss carries the new version
+        # any miss that crosses the wire carries the new version (an
+        # absent key would be answered by the key directory)
+        client.probe(("k",), ("c",))
         assert client.probe(("k",), ("b",)) == (new,)
         assert client.version == store.version
     finally:

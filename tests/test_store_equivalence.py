@@ -188,13 +188,17 @@ def test_hypothesis_remote_vs_memory_interleavings():
 
     Complements ``test_fuzz_backends_stay_identical_under_random_mutations``
     (one seeded walk): hypothesis drives many interleavings and shrinks a
-    failure to the minimal op sequence.
+    failure to the minimal op sequence.  Probe keys include keys absent
+    from the master (answered by the client's key directory) and keys
+    inserted mid-run, by this client or by a foreign one whose insert the
+    client sees through its ``poll_interval=0`` version reads.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     from repro.engine.remote import MasterServer, RemoteStore
 
     keys = [f"k{i}" for i in range(5)]
+    probe_keys = keys + ["never-inserted"]
 
     @hypothesis.settings(
         max_examples=12,
@@ -208,7 +212,8 @@ def test_hypothesis_remote_vs_memory_interleavings():
         memory = InMemoryStore(Relation(schema, list(rows)))
         backing = InMemoryStore(Relation(schema, list(rows)))
         with MasterServer(backing) as server:
-            remote = RemoteStore(server.url)
+            remote = RemoteStore(server.url, poll_interval=0.0)
+            foreign = RemoteStore(server.url)
             engines = {
                 "memory": BatchRepairEngine(rules, memory, schema,
                                             use_bdd=False),
@@ -219,7 +224,7 @@ def test_hypothesis_remote_vs_memory_interleavings():
             known = list(rows)
             next_id = [0]
 
-            def do_insert():
+            def do_insert(client=remote):
                 key = data.draw(st.sampled_from(keys), label="insert key")
                 row = Row(schema, (key, f"v{next_id[0]}"))
                 next_id[0] += 1
@@ -227,10 +232,10 @@ def test_hypothesis_remote_vs_memory_interleavings():
                 for existing in list(known):
                     if existing["key"] == key:
                         assert memory.delete(existing)
-                        assert remote.delete(existing)
+                        assert client.delete(existing)
                         known.remove(existing)
                 memory.insert(row)
-                remote.insert(row)
+                client.insert(row)
                 known.append(row)
 
             def do_delete():
@@ -255,12 +260,14 @@ def test_hypothesis_remote_vs_memory_interleavings():
                 known[index] = new
 
             def do_probe():
-                key = data.draw(st.sampled_from(keys), label="probe key")
+                key = data.draw(st.sampled_from(probe_keys),
+                                label="probe key")
                 assert memory.probe(("key",), (key,)) == \
                     remote.probe(("key",), (key,))
 
             actions = {"insert": do_insert, "delete": do_delete,
-                       "update": do_update, "probe": do_probe}
+                       "update": do_update, "probe": do_probe,
+                       "foreign insert": lambda: do_insert(foreign)}
             for _ in range(data.draw(st.integers(2, 8), label="ops")):
                 before = {n: s.version for n, s in stores.items()}
                 actions[data.draw(st.sampled_from(sorted(actions)),
@@ -284,6 +291,8 @@ def test_hypothesis_remote_vs_memory_interleavings():
                                            outputs["remote"])
                 assert outputs["memory"][0].final == clean
             assert list(memory) == list(remote)
+            foreign.close()
+            remote.close()
 
     run()
 
