@@ -72,9 +72,10 @@ class ChaseOutcome:
     ``zb`` — the initial (user-validated) Z;
     ``conflict`` — the divergence witness when ``unique`` is False;
     ``applications`` — the canonical batched run, compactly: one
-    ``(rule, rows, batch)`` per applied rule, in order, where ``rows`` is
-    the tuple of guard-passing master rows the rule read (a tuple whatever
-    the store returned, so outcomes compare equal across backends);
+    ``(rule, rows, batch, index)`` per applied rule, in order, where
+    ``rows`` is the tuple of guard-passing master rows the rule read (a
+    tuple whatever the store returned, so outcomes compare equal across
+    backends) and ``index`` the rule's position in Σ;
     ``fired`` — the same run expanded to one ``(rule, master_row, batch)``
     per guard-passing row, in order (built on access, for provenance and
     tests; :meth:`first_fired` is the per-rule view a fix needs);
@@ -99,20 +100,21 @@ class ChaseOutcome:
     def fired(self) -> list:
         return [
             (rule, tm, batch)
-            for rule, rows, batch in self.applications
+            for rule, rows, batch, _ in self.applications
             for tm in rows
         ]
 
     def first_fired(self) -> Iterator:
-        """``(rule, first master row, batch)`` per applied rule, in order.
+        """``(rule, first master row, batch, index)`` per applied rule, in
+        order.
 
         Every row of one application carries the same ``Bm`` value (two
         distinct values would be a same-batch conflict), so this is all
         :meth:`TransFixResult.from_chase
         <repro.repair.transfix.TransFixResult.from_chase>` reads.
         """
-        for rule, rows, batch in self.applications:
-            yield rule, rows[0], batch
+        for rule, rows, batch, index in self.applications:
+            yield rule, rows[0], batch, index
 
     def is_certain(self, schema) -> bool:
         """Certain fix: unique and the covered set reaches all of R."""
@@ -362,12 +364,12 @@ def chase(
                     )
                 new_values.setdefault(target, value)
                 culprit[target] = rule
-            batch.append((rule, rows))
+            batch.append((rule, rows, plan.index))
         if not batch:
             break
         batches += 1
-        for rule, rows in batch:
-            applications.append((rule, rows, batches))
+        for rule, rows, index in batch:
+            applications.append((rule, rows, batches, index))
         ready = []
         for target, value in new_values.items():
             values[target] = value

@@ -3,19 +3,18 @@
 The paper's certain-fix guarantee is *per cell*: every value TransFix
 writes is entailed by one editing rule firing against one matching master
 tuple.  Guided Data Repair and weighted rule discovery (PAPERS.md) both
-rank and audit fixes by exactly this attribution, so the batch engine
-records it as plain data — one :class:`FixProvenance` per corrected cell —
-when provenance collection is enabled (it is, by default, in
-:class:`~repro.repair.batch.BatchRepairEngine`; bare
-:class:`~repro.repair.certainfix.CertainFix` keeps it off).
-
-Records are frozen and picklable (they cross the process-pool boundary
-inside sessions) and surface in two places:
+rank and audit fixes by exactly this attribution.  Every round of
+:class:`~repro.repair.certainfix.CertainFix` keeps it by reference — each
+applied rule's position in Σ and the master row it matched
+(``RoundLog.applied`` and ``RoundLog.rule_indices``) — and builds one
+:class:`FixProvenance` per corrected cell only when ``RoundLog.provenance``
+is read.  The references travel inside sessions across the process-pool
+boundary, and the records surface in two places:
 
 * :attr:`BatchResult.provenance <repro.repair.batch.BatchResult.provenance>`
   — per session, ``{attr: FixProvenance}`` for every rule-fixed cell;
 * ``BatchReport.to_dict()["fixes_by_rule"]`` — the aggregate count of
-  cells each rule fixed across the run.
+  cells each rule fixed across the run, counted from the references.
 """
 
 from __future__ import annotations
@@ -57,16 +56,17 @@ def session_provenance(session) -> dict:
     """
     out: dict = {}
     for round_log in session.rounds:
-        for record in getattr(round_log, "provenance", ()):
+        for record in round_log.provenance:
             out[record.attr] = record
     return out
 
 
 def count_fixes_by_rule(sessions) -> dict:
-    """``{rule_name: fixed-cell count}`` across *sessions* (report rollup)."""
+    """``{rule_name: fixed-cell count}`` across *sessions* (report rollup),
+    counted from the rounds' rule applications without building records."""
     out: dict = {}
     for session in sessions:
         for round_log in session.rounds:
-            for record in getattr(round_log, "provenance", ()):
-                out[record.rule_name] = out.get(record.rule_name, 0) + 1
+            for rule, _ in round_log.applied:
+                out[rule.name] = out.get(rule.name, 0) + 1
     return out

@@ -176,8 +176,7 @@ class BatchReport:
     #: across runs) and ``probe_warmup_s`` (chunk probe_batch warm-up on
     #: batched-probe backends, summed across workers).
     timings: dict = field(default_factory=dict)
-    #: ``{rule_name: fixed-cell count}`` across the run (provenance rollup;
-    #: empty when provenance collection is off).
+    #: ``{rule_name: fixed-cell count}`` across the run (provenance rollup).
     fixes_by_rule: dict = field(default_factory=dict)
     #: Messages of :class:`~repro.engine.store.StoreError` failures that
     #: aborted the run (unreachable master server, closed connection,
@@ -303,7 +302,7 @@ class BatchResult:
     @property
     def provenance(self) -> list:
         """Per session (stream order), ``{attr: FixProvenance}`` for every
-        rule-fixed cell — empty dicts when provenance collection was off."""
+        rule-fixed cell, built on each read."""
         return [session_provenance(session) for session in self.sessions]
 
     def to_relation(self, schema: RelationSchema) -> Relation:
@@ -498,7 +497,7 @@ class BatchRepairEngine:
         refusing provably inconsistent programs before any repair runs.
     engine_options:
         Forwarded to the underlying :class:`CertainFix` (``max_rounds``,
-        ``max_revisions``, ``collect_provenance``, ...).
+        ``max_revisions``, ``delta_invalidation``, ...).
 
     A process pool is created lazily on the first ``run()`` and reused
     across runs (workers keep their warmed caches); call :meth:`close` (or
@@ -543,10 +542,6 @@ class BatchRepairEngine:
         self.concurrency = concurrency
         self.mp_start_method = mp_start_method
         self.on_incomplete = on_incomplete
-        # Provenance records are a handful of tuples per monitored tuple —
-        # cheap next to a chase — and the batch report's fixes_by_rule
-        # rollup needs them, so the batch engine collects by default.
-        engine_options.setdefault("collect_provenance", True)
         self._use_bdd = use_bdd
         self._engine_options = dict(engine_options)
         self._engine = CertainFix(

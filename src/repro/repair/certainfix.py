@@ -51,16 +51,38 @@ class RoundLog:
     suggested: tuple
     asserted: tuple
     corrected_by_user: tuple
-    fixed_by_rules: tuple
     suggestion_source: str
     elapsed: float
     revisions: int = 0
     row_after: object = None
     validated_after: frozenset = frozenset()
-    #: Per-cell :class:`repro.obs.FixProvenance` records for the rule
-    #: applications of this round (empty unless the engine was built with
-    #: ``collect_provenance=True``).
-    provenance: tuple = ()
+    #: The round's rule applications, by reference: ``(rule, tm)`` per
+    #: rule-fixed cell in application order (the round's
+    #: ``TransFixResult.applied``), and each rule's position in Σ.
+    applied: list = field(default_factory=list)
+    rule_indices: list = field(default_factory=list)
+
+    @property
+    def fixed_by_rules(self) -> tuple:
+        return tuple(rule.rhs for rule, _ in self.applied)
+
+    @property
+    def provenance(self) -> tuple:
+        """One :class:`repro.obs.FixProvenance` per rule-fixed cell of
+        this round, built on each read (``t[B] := tm[Bm]`` wrote it)."""
+        return tuple(
+            FixProvenance(
+                attr=rule.rhs,
+                value=tm[rule.rhs_m],
+                rule_name=rule.name,
+                rule_index=index,
+                master_key=tm[rule.lhs_m],
+                round_index=self.index,
+            )
+            for (rule, tm), index in zip(
+                self.applied, self.rule_indices, strict=True
+            )
+        )
 
 
 @dataclass
@@ -202,7 +224,6 @@ class CertainFix:
         initial_region_rank: int = 0,
         max_rounds: int = 12,
         max_revisions: int = 3,
-        collect_provenance: bool = False,
         delta_invalidation: bool = True,
     ):
         self.rules = list(rules)
@@ -235,11 +256,6 @@ class CertainFix:
         #: because the region guard could not prove them unchanged (a full
         #: drop always discards them).
         self.region_rebuilds = 0
-        self.collect_provenance = collect_provenance
-        # Position of each rule object in Σ, for provenance records.  Keyed
-        # by identity: equal-but-distinct duplicates must keep their own
-        # indices, and TransFix applies exactly these objects.
-        self._rule_index = {id(rule): i for i, rule in enumerate(self.rules)}
         # Attribute positions in R, for the per-round correction diff.
         self._position = {a: i for i, a in enumerate(schema.attributes)}
         # Force master indexes for every rule key up front so the first
@@ -434,11 +450,6 @@ class CertainFix:
             ))
             row = result.row
             validated = result.validated
-            provenance = (
-                self._round_provenance(result, round_index)
-                if self.collect_provenance
-                else ()
-            )
 
             done = set(validated) >= all_attrs
             source = suggestion.source
@@ -454,13 +465,13 @@ class CertainFix:
                     suggested=sug_attrs,
                     asserted=tuple(sorted(asserted)),
                     corrected_by_user=corrected,
-                    fixed_by_rules=result.fixed_attrs,
                     suggestion_source=source,
                     elapsed=time.perf_counter() - started,
                     revisions=revisions,
                     row_after=row,
                     validated_after=validated,
-                    provenance=provenance,
+                    applied=result.applied,
+                    rule_indices=result.rule_indices,
                 )
             )
 
@@ -489,25 +500,6 @@ class CertainFix:
         if not outcome.unique:
             return None
         return TransFixResult.from_chase(row, validated, outcome.first_fired())
-
-    def _round_provenance(self, result, round_index: int) -> tuple:
-        """One :class:`FixProvenance` per rule application of this round.
-
-        ``tm[rule.rhs_m]`` is exactly the value the application wrote
-        (TransFix assigns ``t[B] := tm[Bm]``), so an earlier application
-        overwritten later in the same round still reports its own value.
-        """
-        return tuple(
-            FixProvenance(
-                attr=rule.rhs,
-                value=tm[rule.rhs_m],
-                rule_name=rule.name,
-                rule_index=self._rule_index.get(id(rule), -1),
-                master_key=tm[rule.lhs_m],
-                round_index=round_index,
-            )
-            for rule, tm in result.applied
-        )
 
     def _start_cursor(self):
         return self._cache.start() if self._cache is not None else None

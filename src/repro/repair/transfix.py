@@ -41,6 +41,8 @@ class TransFixResult:
     validated: frozenset
     applied: list = field(default_factory=list)
     lookups: int = 0
+    #: Σ position of each ``applied`` rule, when :meth:`from_chase` had it.
+    rule_indices: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
     def from_chase(cls, row: Row, validated: Iterable, fired) -> "TransFixResult":
@@ -49,7 +51,8 @@ class TransFixResult:
 
         *fired* is the chase's ``(rule, tm, batch)`` applications —
         ``ChaseOutcome.fired``, or its per-rule view
-        ``ChaseOutcome.first_fired()``, which gives the same result — or
+        ``ChaseOutcome.first_fired()``, which gives the same result and
+        adds each rule's Σ position (``rule_indices``) — or
         ``(rule, tm)`` pairs already reduced by this method (its own
         ``applied``).  A unique chase ends in the one tuple every
         maximal fix sequence reaches, so TransFix's sequence ends there
@@ -58,13 +61,17 @@ class TransFixResult:
         no master lookups are spent.
         """
         first: dict = {}
-        for rule, tm, *_ in fired:
-            first.setdefault(rule.rhs, (rule, tm))
+        indices: list = []
+        for rule, tm, *rest in fired:
+            if rule.rhs not in first:
+                first[rule.rhs] = (rule, tm)
+                indices.extend(rest[1:])  # the Σ index after the batch
         fixes = {attr: tm[rule.rhs_m] for attr, (rule, tm) in first.items()}
         return cls(
             row=row.with_values(fixes) if fixes else row,
             validated=frozenset(validated).union(fixes),
             applied=list(first.values()),
+            rule_indices=indices,
         )
 
     @property

@@ -333,10 +333,3 @@ def test_provenance_attributes_every_rule_fix(hosp, hosp_dirty):
     by_rule = result.report.fixes_by_rule
     assert sum(by_rule.values()) >= attributed
     assert by_rule == result.report.to_dict()["fixes_by_rule"]
-
-
-def test_provenance_off_by_default_in_bare_certainfix(hosp, hosp_dirty):
-    engine = CertainFix(hosp.rules, hosp.master, hosp.schema)
-    dt = hosp_dirty.tuples[0]
-    session = engine.fix(dt.dirty, SimulatedUser(dt.clean))
-    assert all(r.provenance == () for r in session.rounds)

@@ -64,17 +64,17 @@ def check_outcome(master, rules, z, t):
     # rules in Σ order within a batch, rows in master order.
     expected = [
         (rule, tm, batch)
-        for rule, _rows, batch in outcome.applications
+        for rule, _rows, batch, _ in outcome.applications
         for tm in guard_rows(rule, master, outcome.assignment)
     ]
     assert outcome.fired == expected
-    batches = [batch for _, _, batch in outcome.applications]
+    batches = [batch for _, _, batch, _ in outcome.applications]
     assert batches == sorted(batches)
     assert set(batches) == set(range(1, outcome.batches + 1))
-    position = {id(rule): i for i, rule in enumerate(rules)}
+    for rule, _, _, index in outcome.applications:
+        assert rules[index] is rule
     for batch in set(batches):
-        order = [position[id(rule)] for rule, _, b in outcome.applications
-                 if b == batch]
+        order = [i for _, _, b, i in outcome.applications if b == batch]
         assert order == sorted(set(order))
 
     conflict = outcome.conflict
@@ -181,8 +181,8 @@ def test_guard_failing_rows_neither_fire_nor_conflict():
     assert outcome.unique
     assert outcome.assignment["b"] == 7
     assert [tm["x"] for _, tm, _ in outcome.fired] == [7, 7]
-    ((_, rows, batch),) = outcome.applications
-    assert isinstance(rows, tuple) and batch == 1
+    ((_, rows, batch, index),) = outcome.applications
+    assert isinstance(rows, tuple) and batch == 1 and index == 0
 
 
 def test_order_dependent_conflict_on_a_later_distinct_value():

@@ -148,12 +148,12 @@ def reference_chase(t, z0, rules, master):
                     )
                 new_values.setdefault(attr, value)
                 culprit[attr] = rule
-            batch.append((rule, rows))
+            batch.append((rule, rows, i))
         if not batch:
             break
         batches += 1
-        for rule, rows in batch:
-            applications.append((rule, rows, batches))
+        for rule, rows, i in batch:
+            applications.append((rule, rows, batches, i))
         for attr, value in new_values.items():
             assignment[attr] = value
             validated.add(attr)
